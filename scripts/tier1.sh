@@ -3,8 +3,9 @@
 # smoke over the retrieval kernel, then a ThreadSanitizer pass over the
 # concurrency-sensitive tests (the parallel eval harness, the thread
 # pool, GRED's mutex-guarded annotation cache, the sharded embedding
-# cache, and the fault-tolerance layer, whose retry + degradation paths
-# exercise the annotation cache and stage timers concurrently).
+# cache, the exact retrieval backend's per-thread accumulators, and the
+# fault-tolerance layer, whose retry + degradation paths exercise the
+# annotation cache and stage timers concurrently).
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -111,6 +112,13 @@ echo "== tier-1: exec-sweep smoke (columnar vs row engine identity) =="
 "$ROOT/scripts/bench_report" --exec --smoke \
   "$ROOT/build/BENCH_exec_smoke.json"
 
+echo "== tier-1: end-to-end benchmark smoke (both workloads, tiny suite) =="
+# The serving benchmark at a 300-example library for one second per run,
+# untraced and traced: each run must pass its correctness gate and print
+# exactly the metrics BENCHMARK.json names. Builds its own Release tree
+# under .bench_build/ (see e2e_bench/run.py).
+(cd "$ROOT" && python3 e2e_bench/smoke_test.py)
+
 echo "== tier-1: ThreadSanitizer pass (parallel harness + fault layer) =="
 if ! cmake -B "$ROOT/build-tsan" -S "$ROOT" \
   -DGRED_SANITIZE=thread \
@@ -134,7 +142,7 @@ TSAN_OPTIONS="halt_on_error=1" "$ROOT/build-tsan/tests/gred_test" \
   --gtest_filter='*Degraded*:*RetryRecovers*:*GeneratorFailure*'
 TSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-tsan/tests/retrieval_equivalence_test" \
-  --gtest_filter='CachingEmbedder.*'
+  --gtest_filter='CachingEmbedder.*:RetrievalIndexFacade.*'
 # The SIMD dot kernel resolves its dispatch target once per process
 # (magic static + env override); the hammer races many threads through
 # Dot() and must stay data-race-free and bit-identical.
@@ -203,11 +211,13 @@ ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-asan/tests/exec_reference_test"
 # ANN differential smoke: the int8 quantized scan (aligned code buffers,
 # pointer-stride arithmetic) and the IVF probe path against the exact
-# store, plus the RetrievalIndex facade, under ASan+UBSan — an overread
-# in a SIMD tail or a stride miscalculation fails here, not in prod.
+# store, plus the RetrievalIndex facade and the posting-list walk (minus
+# its full-corpus replay), under ASan+UBSan — an overread in a SIMD tail,
+# a stride miscalculation or a stray accumulator index fails here, not
+# in prod.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-asan/tests/retrieval_equivalence_test" \
-  --gtest_filter='QuantizedEquivalence.*:IvfEquivalence.*:RetrievalIndexFacade.*'
+  --gtest_filter='QuantizedEquivalence.*:IvfEquivalence.*:RetrievalIndexFacade.*:PostingListEquivalence.*-PostingListEquivalence.DefaultSuite*'
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-asan/tests/kernel_dispatch_test"
 

@@ -15,8 +15,8 @@ namespace gred::embed {
 /// multi-probe search, optional int8-quantized list scans, and
 /// incremental training refresh.
 ///
-/// The brute-force VectorStore is exact and fast enough for nvBench-scale
-/// libraries (a few thousand vectors); this index exists for 10^5-10^6
+/// The exact posting-list store serves nvBench-scale libraries (up to a
+/// few tens of thousands of vectors); this index exists for 10^5-10^6
 /// entry libraries: vectors are k-means-clustered and a query scans only
 /// the `num_probes` most similar clusters. Deterministic throughout
 /// (seeded sampling, fixed iteration count, insertion-index tie-breaks).

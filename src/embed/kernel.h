@@ -9,7 +9,7 @@
 namespace gred::embed {
 
 /// One retrieval result: the insertion index of a stored vector and its
-/// cosine similarity to the query. Shared by VectorStore and IvfIndex.
+/// cosine similarity to the query. Shared by every retrieval store.
 struct Hit {
   std::size_t index = 0;  // insertion index (payload handle)
   double score = 0.0;     // cosine similarity

@@ -75,16 +75,20 @@ RetrievalIndex::RetrievalIndex(RetrievalConfig config)
     : config_(config), ivf_(config.ivf) {}
 
 std::size_t RetrievalIndex::Add(Vector v) {
-  if (config_.backend == RetrievalBackend::kIvf) {
-    return ivf_.Add(std::move(v));
+  switch (config_.backend) {
+    case RetrievalBackend::kQuantized: {
+      const std::size_t index = store_.Add(std::move(v));
+      // Shadow the new row immediately: quantization is O(dim) per row
+      // and keeping the codes in lockstep makes TopK valid at any point.
+      store_.EnsureQuantized();
+      return index;
+    }
+    case RetrievalBackend::kIvf:
+      return ivf_.Add(std::move(v));
+    case RetrievalBackend::kExact:
+      break;
   }
-  const std::size_t index = store_.Add(std::move(v));
-  if (config_.backend == RetrievalBackend::kQuantized) {
-    // Shadow the new row immediately: quantization is O(dim) per row and
-    // keeping the codes in lockstep makes TopK valid at any point.
-    store_.EnsureQuantized();
-  }
-  return index;
+  return postings_.Add(std::move(v));
 }
 
 void RetrievalIndex::Seal() {
@@ -113,12 +117,19 @@ std::vector<Hit> RetrievalIndex::TopK(const Vector& query,
     case RetrievalBackend::kExact:
       break;
   }
-  return store_.TopK(query, k);
+  return postings_.TopK(query, k);
 }
 
 std::size_t RetrievalIndex::size() const {
-  return config_.backend == RetrievalBackend::kIvf ? ivf_.size()
-                                                   : store_.size();
+  switch (config_.backend) {
+    case RetrievalBackend::kQuantized:
+      return store_.size();
+    case RetrievalBackend::kIvf:
+      return ivf_.size();
+    case RetrievalBackend::kExact:
+      break;
+  }
+  return postings_.size();
 }
 
 }  // namespace gred::embed

@@ -8,13 +8,15 @@
 #include "embed/ann_index.h"
 #include "embed/embedder.h"
 #include "embed/kernel.h"
+#include "embed/posting_list_store.h"
 #include "embed/vector_store.h"
 
 namespace gred::embed {
 
 /// Which search machinery answers a retrieval query.
 enum class RetrievalBackend {
-  kExact = 0,      // brute-force float scan (bit-identical reference)
+  kExact = 0,      // per-dimension posting lists (bit-identical to the
+                   // dense VectorStore::TopK scan)
   kQuantized = 1,  // int8 scan + exact re-rank of a widened shortlist
   kIvf = 2,        // IVF multi-probe (+ int8 list scans) + exact re-rank
 };
@@ -34,9 +36,10 @@ const char* RetrievalBackendName(RetrievalBackend backend);
 ///   GRED_RETRIEVAL_RERANK    shortlist widening factor  (default 4)
 /// Invalid values print a message and exit(2) (the bench env-override
 /// convention: a mistyped knob must not silently fall back and burn a
-/// run on the wrong configuration). The default is exact, so unset
-/// environments — every committed eval table — are byte-identical to
-/// the brute-force pipeline.
+/// run on the wrong configuration). The default is exact, whose hits
+/// are bit-identical to the dense VectorStore::TopK scan, so unset
+/// environments — every committed eval table — produce the same output
+/// as a dense scan would.
 struct RetrievalConfig {
   RetrievalBackend backend = RetrievalBackend::kExact;
   /// Quantized-backend shortlist widening (see ShortlistSize).
@@ -50,17 +53,21 @@ struct RetrievalConfig {
 };
 
 /// The retrieval surface behind ExampleIndex/DvqIndex: one API over the
-/// exact store, the quantized store, and the IVF index, so the embedding
-/// libraries pick their backend from configuration instead of code.
+/// exact posting-list store, the quantized store, and the IVF index, so
+/// the embedding libraries pick their backend from configuration instead
+/// of code. The exact backend keeps no dense copy of the library: it
+/// stores each row's non-zeros in per-dimension posting lists
+/// (PostingListStore) and returns VectorStore::TopK's hits bit for bit.
 ///
 /// Usage: Add() every library vector, Seal() once, then TopK() freely
 /// (TopK is const and thread-safe after Seal). Vectors Added after
-/// Seal() remain retrievable immediately — the quantized backend
-/// shadows each new row on insert and the IVF backend scans its pending
-/// tail exactly until its growth policy triggers a warm-started
-/// retrain. Hit indexes are insertion indexes; scores are always exact
-/// float-kernel scores (approximate backends re-rank with the exact
-/// kernel before returning).
+/// Seal() remain retrievable immediately — the exact backend appends to
+/// its posting lists, the quantized backend shadows each new row on
+/// insert and the IVF backend scans its pending tail exactly until its
+/// growth policy triggers a warm-started retrain. Hit indexes are
+/// insertion indexes; scores are always exact float-kernel scores
+/// (approximate backends re-rank with the exact kernel before
+/// returning).
 class RetrievalIndex {
  public:
   explicit RetrievalIndex(RetrievalConfig config = {});
@@ -69,9 +76,9 @@ class RetrievalIndex {
   std::size_t Add(Vector v);
 
   /// Finishes the build phase: quantizes any unshadowed rows and/or
-  /// trains the IVF lists. Idempotent; must be called before the first
-  /// TopK on the IVF backend (an unsealed IVF index has no lists and
-  /// returns no hits).
+  /// trains the IVF lists (a no-op on the exact backend). Idempotent;
+  /// must be called before the first TopK on the IVF backend (an
+  /// unsealed IVF index has no lists and returns no hits).
   void Seal();
 
   /// Top-k most similar stored vectors, best first; exact-kernel scores,
@@ -84,8 +91,9 @@ class RetrievalIndex {
 
  private:
   RetrievalConfig config_;
-  VectorStore store_;  // exact + quantized backends
-  IvfIndex ivf_;       // ivf backend
+  PostingListStore postings_;  // exact backend
+  VectorStore store_;          // quantized backend
+  IvfIndex ivf_;               // ivf backend
 };
 
 }  // namespace gred::embed

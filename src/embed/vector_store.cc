@@ -5,14 +5,6 @@
 
 namespace gred::embed {
 
-namespace {
-
-/// Rows per block in the batched scan: 64 rows x 512 floats x 4 bytes =
-/// 128 KiB, comfortably L2-resident while every query revisits the block.
-constexpr std::size_t kBatchBlockRows = 64;
-
-}  // namespace
-
 std::size_t ShortlistSize(std::size_t k, std::size_t n, std::size_t factor,
                           std::size_t slack) {
   const std::size_t widened = std::max(k * factor, k + slack);
@@ -36,33 +28,6 @@ std::vector<VectorStore::Hit> VectorStore::TopK(const Vector& query,
     selector.Offer(i, score);
   }
   return selector.Take();
-}
-
-std::vector<std::vector<VectorStore::Hit>> VectorStore::TopKBatch(
-    std::span<const Vector> queries, std::size_t k) const {
-  std::vector<Vector> normalized(queries.begin(), queries.end());
-  for (Vector& q : normalized) L2Normalize(&q);
-  std::vector<TopKSelector> selectors;
-  selectors.reserve(queries.size());
-  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-    selectors.emplace_back(std::min(k, rows_.size()));
-  }
-  for (std::size_t base = 0; base < rows_.size(); base += kBatchBlockRows) {
-    const std::size_t end = std::min(base + kBatchBlockRows, rows_.size());
-    for (std::size_t qi = 0; qi < normalized.size(); ++qi) {
-      const Vector& q = normalized[qi];
-      for (std::size_t i = base; i < end; ++i) {
-        const double score = rows_.row_size(i) == q.size() && !q.empty()
-                                 ? Dot(rows_.row(i), q.data(), q.size())
-                                 : 0.0;
-        selectors[qi].Offer(i, score);
-      }
-    }
-  }
-  std::vector<std::vector<Hit>> out;
-  out.reserve(selectors.size());
-  for (TopKSelector& selector : selectors) out.push_back(selector.Take());
-  return out;
 }
 
 void VectorStore::EnsureQuantized() {

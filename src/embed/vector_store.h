@@ -2,7 +2,6 @@
 #define GREDVIS_EMBED_VECTOR_STORE_H_
 
 #include <cstddef>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -13,12 +12,15 @@
 
 namespace gred::embed {
 
-/// An exact top-K cosine-similarity index over embedding vectors.
+/// A dense exact top-K cosine-similarity index over embedding vectors.
 ///
-/// This is the "embedding vector library" of GRED's preparatory phase:
-/// the NLQs and DVQs of the training split are embedded and stored here,
-/// then retrieved by cosine similarity at generation/retune time.
-/// Vectors are L2-normalized on insert so similarity is a dot product.
+/// GRED's "embedding vector library" (the NLQs and DVQs of the training
+/// split, retrieved by cosine similarity at generation/retune time) is
+/// served by RetrievalIndex, whose default exact backend is the sparse
+/// PostingListStore. This dense scan is the oracle that backend is
+/// tested against bit for bit, and the float storage behind the
+/// quantized backend's re-rank. Vectors are L2-normalized on insert so
+/// similarity is a dot product.
 ///
 /// Storage is a flat SoA buffer (FlatVectors) scanned with the
 /// dispatching SIMD kernel; top-k selection is a bounded heap, so a
@@ -45,12 +47,6 @@ class VectorStore {
   /// Exact top-`k` by cosine similarity, highest first. Ties break by
   /// lower insertion index (deterministic).
   std::vector<Hit> TopK(const Vector& query, std::size_t k) const;
-
-  /// Batched top-`k`: one pass over the store amortized across all
-  /// queries (each block of rows is scored against every query while hot
-  /// in cache). Result `i` is bit-identical to `TopK(queries[i], k)`.
-  std::vector<std::vector<Hit>> TopKBatch(std::span<const Vector> queries,
-                                          std::size_t k) const;
 
   /// Quantizes rows appended since the last call (all rows on the first
   /// call). Not thread-safe against concurrent queries; call it after

@@ -1,17 +1,21 @@
-// Equivalence suite for the flat-layout retrieval kernel.
+// Equivalence suite for the retrieval kernels.
 //
-// The flat SoA store, blocked dot kernel, bounded top-k heap, and batched
-// scan must return bit-identical hits (scores AND order) to a naive
-// reference — materialize every candidate, full sort, truncate — across
-// randomized inputs and the edge cases that historically bite top-k
-// implementations (empty store, k=0, k>size, duplicate vectors, zero
-// vectors). The CachingEmbedder is hammered from many threads (run under
-// TSan by scripts/tier1.sh) and must behave exactly like its inner
-// embedder.
+// The flat SoA store, blocked dot kernel and bounded top-k heap must
+// return bit-identical hits (scores AND order) to a naive reference —
+// materialize every candidate, full sort, truncate — across randomized
+// inputs and the edge cases that historically bite top-k implementations
+// (empty store, k=0, k>size, duplicate vectors, zero vectors). The
+// posting-list store behind RetrievalIndex's exact backend must in turn
+// match that dense scan bit for bit, on random sparse vectors and on the
+// benchmark's real NLQ and DVQ libraries, and stay identical under a
+// many-thread TopK hammer. The CachingEmbedder is hammered from many
+// threads and must behave exactly like its inner embedder. The hammers
+// run under TSan in scripts/tier1.sh.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -21,6 +25,7 @@
 #include "embed/caching_embedder.h"
 #include "embed/embedder.h"
 #include "embed/kernel.h"
+#include "embed/posting_list_store.h"
 #include "embed/retrieval_index.h"
 #include "embed/vector_store.h"
 #include "util/rng.h"
@@ -64,8 +69,13 @@ void ExpectBitIdentical(const std::vector<Hit>& actual,
   ASSERT_EQ(actual.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(actual[i].index, expected[i].index) << "rank " << i;
-    // Bit-identical, not approximately equal: same kernel, same sums.
-    EXPECT_EQ(actual[i].score, expected[i].score) << "rank " << i;
+    // Bit-identical, not approximately equal: same kernel, same sums,
+    // and the same sign of zero.
+    EXPECT_EQ(std::memcmp(&actual[i].score, &expected[i].score,
+                          sizeof(double)),
+              0)
+        << "rank " << i << ": " << actual[i].score << " vs "
+        << expected[i].score;
   }
 }
 
@@ -144,21 +154,6 @@ TEST(FlatStoreEquivalence, MixedDimensionsFollowCosineContract) {
     if (hit.index == 1) {
       EXPECT_EQ(hit.score, 0.0);  // dim 3 vs dim 2
     }
-  }
-}
-
-TEST(FlatStoreEquivalence, BatchedTopKMatchesSingleQueryBitForBit) {
-  Rng rng(21);
-  VectorStore store;
-  for (int i = 0; i < 300; ++i) store.Add(RandomVector(&rng, 48));
-  std::vector<Vector> queries;
-  for (int i = 0; i < 9; ++i) queries.push_back(RandomVector(&rng, 48));
-  queries.push_back(Vector(48, 0.0f));              // zero query
-  queries.push_back(RandomVector(&rng, 7));         // wrong dimension
-  std::vector<std::vector<Hit>> batched = store.TopKBatch(queries, 10);
-  ASSERT_EQ(batched.size(), queries.size());
-  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-    ExpectBitIdentical(batched[qi], store.TopK(queries[qi], 10));
   }
 }
 
@@ -391,6 +386,239 @@ TEST(RetrievalIndexFacade, BackendNamesAreStable) {
   EXPECT_STREQ(RetrievalBackendName(RetrievalBackend::kQuantized),
                "quantized");
   EXPECT_STREQ(RetrievalBackendName(RetrievalBackend::kIvf), "ivf");
+}
+
+/// A vector with roughly `density` of its entries non-zero, like the
+/// hash embedders' output. Half of the zero entries are -0.0f, so the
+/// signed-zero argument of the posting-list walk is exercised too.
+Vector RandomSparseVector(Rng* rng, std::size_t dim, double density) {
+  Vector v(dim);
+  for (float& x : v) {
+    if (rng->NextBool(density)) {
+      x = static_cast<float>(rng->NextDouble() - 0.5);
+    } else {
+      x = rng->NextBool(0.5) ? -0.0f : 0.0f;
+    }
+  }
+  return v;
+}
+
+/// The posting-list exact backend against the dense oracle it replaces.
+void ExpectExactMatchesDense(const RetrievalIndex& index,
+                             const VectorStore& dense, const Vector& query,
+                             std::size_t k) {
+  ExpectBitIdentical(index.TopK(query, k), dense.TopK(query, k));
+}
+
+TEST(PostingListEquivalence, RandomizedSparseMatchesDenseScanBitForBit) {
+  // Dimension 30 leaves a two-dimension tail that DotBlocked folds into
+  // lane 0; 512 is the embedders' dimension.
+  for (std::uint64_t seed : {3u, 11u}) {
+    for (std::size_t dim : {30u, 512u}) {
+      for (double density : {0.05, 0.2, 1.0}) {
+        for (std::size_t n : {0u, 1u, 2u, 257u}) {
+          Rng rng(seed * 7919 + dim * 31 + n +
+                  static_cast<std::uint64_t>(density * 100));
+          RetrievalIndex index;
+          VectorStore dense;
+          for (std::size_t i = 0; i < n; ++i) {
+            Vector v = RandomSparseVector(&rng, dim, density);
+            index.Add(v);
+            dense.Add(v);
+          }
+          index.Seal();
+          ASSERT_EQ(index.size(), n);
+          for (int qi = 0; qi < 4; ++qi) {
+            Vector query = RandomSparseVector(&rng, dim, density);
+            for (std::size_t k : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{10}, n, n + 7}) {
+              ExpectExactMatchesDense(index, dense, query, k);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PostingListEquivalence, MixedDimensionRowsScoreZero) {
+  // Rows whose dimension differs from the query's share the low posting
+  // lists with the matching rows but must still score exactly 0.
+  Rng rng(29);
+  RetrievalIndex index;
+  VectorStore dense;
+  const std::size_t dims[] = {30, 31, 512, 29, 30, 4, 512};
+  for (int i = 0; i < 140; ++i) {
+    Vector v = RandomSparseVector(&rng, dims[i % 7], 0.3);
+    index.Add(v);
+    dense.Add(v);
+  }
+  index.Seal();
+  for (std::size_t dim : {4u, 29u, 30u, 31u, 512u, 7u, 600u}) {
+    Vector query = RandomSparseVector(&rng, dim, 0.5);
+    ExpectExactMatchesDense(index, dense, query, 140);
+    ExpectExactMatchesDense(index, dense, query, 10);
+  }
+  ExpectExactMatchesDense(index, dense, Vector{}, 10);  // empty query
+}
+
+TEST(PostingListEquivalence, ZeroDuplicateAndDegenerateInputs) {
+  RetrievalIndex empty;
+  empty.Seal();
+  EXPECT_TRUE(empty.TopK({1.0f, 0.0f}, 5).empty());
+  EXPECT_TRUE(empty.TopK({}, 5).empty());
+
+  Rng rng(41);
+  RetrievalIndex index;
+  VectorStore dense;
+  const Vector dup = RandomSparseVector(&rng, 64, 0.2);
+  for (int i = 0; i < 60; ++i) {
+    Vector v = i % 5 == 0   ? Vector(64, 0.0f)
+               : i % 3 == 0 ? dup
+                            : RandomSparseVector(&rng, 64, 0.2);
+    index.Add(v);
+    dense.Add(v);
+  }
+  index.Seal();
+  for (const Vector& query :
+       {dup, Vector(64, 0.0f), Vector(64, -0.0f),
+        RandomSparseVector(&rng, 64, 0.2)}) {
+    for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{20},
+                          std::size_t{60}, std::size_t{1000}}) {
+      ExpectExactMatchesDense(index, dense, query, k);
+    }
+  }
+  // The duplicates tie at the top and come back in insertion order.
+  std::vector<Hit> hits = index.TopK(dup, 3);
+  ASSERT_EQ(hits.size(), 3u);
+  EXPECT_EQ(hits[0].index, 3u);
+  EXPECT_EQ(hits[1].index, 6u);
+  EXPECT_EQ(hits[2].index, 9u);
+}
+
+TEST(PostingListEquivalence, AddAfterSealMatchesDenseScanAtEveryStep) {
+  // Every post-seal Add grows the lists and the per-thread scratch; the
+  // next query must already see the new row, bit for bit.
+  Rng rng(57);
+  RetrievalIndex index;
+  VectorStore dense;
+  for (int i = 0; i < 40; ++i) {
+    Vector v = RandomSparseVector(&rng, 30, 0.3);
+    index.Add(v);
+    dense.Add(v);
+  }
+  index.Seal();
+  for (int i = 0; i < 80; ++i) {
+    Vector v = RandomSparseVector(&rng, 30, 0.3);
+    EXPECT_EQ(index.Add(v), dense.Add(v));
+    ExpectExactMatchesDense(index, dense, v, 10);
+    ExpectExactMatchesDense(index, dense, RandomSparseVector(&rng, 30, 0.3),
+                            5);
+  }
+}
+
+TEST(PostingListEquivalence, ScratchIsSharedSafelyAcrossStoresOfEverySize) {
+  // One thread alternates between a large and a small store, so the
+  // reused accumulators change layout between consecutive queries.
+  Rng rng(61);
+  PostingListStore large;
+  PostingListStore small;
+  VectorStore large_dense;
+  VectorStore small_dense;
+  for (int i = 0; i < 500; ++i) {
+    Vector v = RandomSparseVector(&rng, 48, 0.2);
+    large.Add(v);
+    large_dense.Add(v);
+    if (i % 9 == 0) {
+      small.Add(v);
+      small_dense.Add(v);
+    }
+  }
+  for (int qi = 0; qi < 20; ++qi) {
+    Vector q = RandomSparseVector(&rng, 48, 0.2);
+    ExpectBitIdentical(large.TopK(q, 10), large_dense.TopK(q, 10));
+    ExpectBitIdentical(small.TopK(q, 10), small_dense.TopK(q, 10));
+  }
+}
+
+TEST(PostingListEquivalence, DefaultSuiteNlqAndDvqLibrariesMatchDenseScan) {
+  // The served libraries: every test_clean/test_nlq NLQ against the NLQ
+  // library and every gold DVQ against the DVQ library, embedded by the
+  // real SemanticHashEmbedder at the default suite size.
+  dataset::BenchmarkSuite suite =
+      dataset::BuildBenchmarkSuite(dataset::BenchmarkOptions{});
+  SemanticHashEmbedder embedder;
+  RetrievalIndex nlq_index;
+  RetrievalIndex dvq_index;
+  VectorStore nlq_dense;
+  VectorStore dvq_dense;
+  for (const dataset::Example& ex : suite.train) {
+    const Vector nlq = embedder.Embed(ex.nlq);
+    const Vector dvq = embedder.Embed(ex.DvqText());
+    nlq_index.Add(nlq);
+    nlq_dense.Add(nlq);
+    dvq_index.Add(dvq);
+    dvq_dense.Add(dvq);
+  }
+  nlq_index.Seal();
+  dvq_index.Seal();
+  std::size_t queries = 0;
+  for (const std::vector<dataset::Example>* split :
+       {&suite.test_clean, &suite.test_nlq}) {
+    for (const dataset::Example& ex : *split) {
+      ExpectExactMatchesDense(nlq_index, nlq_dense, embedder.Embed(ex.nlq),
+                              10);
+      ExpectExactMatchesDense(dvq_index, dvq_dense,
+                              embedder.Embed(ex.DvqText()), 10);
+      ++queries;
+      if (HasFailure()) return;  // one diverging query is enough to read
+    }
+  }
+  EXPECT_EQ(queries, suite.test_clean.size() + suite.test_nlq.size());
+}
+
+TEST(RetrievalIndexFacade, ConcurrentExactTopKMatchesSerialRun) {
+  // Run under TSan by scripts/tier1.sh: many threads querying one sealed
+  // exact index, each through its own per-thread accumulators, must
+  // reproduce the serial answers bit for bit.
+  Rng rng(73);
+  RetrievalIndex index;
+  for (int i = 0; i < 1500; ++i) {
+    index.Add(RandomSparseVector(&rng, 128, 0.2));
+  }
+  index.Seal();
+  std::vector<Vector> queries;
+  std::vector<std::vector<Hit>> expected;
+  for (int i = 0; i < 24; ++i) {
+    queries.push_back(RandomSparseVector(&rng, 128, 0.2));
+    expected.push_back(index.TopK(queries.back(), 10));
+  }
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 3;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+          // Each thread walks the queries at a different phase.
+          const std::size_t qi =
+              (i + static_cast<std::size_t>(t) * 5) % queries.size();
+          const std::vector<Hit> hits = index.TopK(queries[qi], 10);
+          bool same = hits.size() == expected[qi].size();
+          for (std::size_t r = 0; same && r < hits.size(); ++r) {
+            same = hits[r].index == expected[qi][r].index &&
+                   std::memcmp(&hits[r].score, &expected[qi][r].score,
+                               sizeof(double)) == 0;
+          }
+          if (!same) mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(CachingEmbedder, IdenticalToInnerEmbedder) {
