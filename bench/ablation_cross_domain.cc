@@ -16,6 +16,7 @@
 #include "models/rgvisnet.h"
 #include "models/seq2vis.h"
 #include "models/transformer.h"
+#include "util/env.h"
 #include "util/table_printer.h"
 
 namespace {
@@ -32,9 +33,8 @@ std::vector<Row> RunRegime(bool cross_domain) {
   dataset::BenchmarkOptions options;
   options.cross_domain = cross_domain;
   options.train_size =
-      bench::EnvSizeOrDie("GRED_BENCH_TRAIN_SIZE", options.train_size);
-  options.test_size =
-      bench::EnvSizeOrDie("GRED_BENCH_TEST_SIZE", options.test_size);
+      EnvSizeOrDie("GRED_BENCH_TRAIN_SIZE", options.train_size);
+  options.test_size = EnvSizeOrDie("GRED_BENCH_TEST_SIZE", options.test_size);
   std::fprintf(stderr, "[bench] building %s-domain suite...\n",
                cross_domain ? "cross" : "no-cross");
   dataset::BenchmarkSuite suite = dataset::BuildBenchmarkSuite(options);

@@ -45,6 +45,7 @@
 #include "llm/circuit_breaker.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "util/env.h"
 #include "util/json.h"
 #include "util/strings.h"
 
@@ -112,12 +113,11 @@ int main() {
   };
 
   dataset::BenchmarkOptions suite_options;
-  suite_options.seed =
-      bench::EnvSizeOrDie("GRED_BENCH_SEED", suite_options.seed);
+  suite_options.seed = EnvSizeOrDie("GRED_BENCH_SEED", suite_options.seed);
   suite_options.train_size =
-      bench::EnvSizeOrDie("GRED_BENCH_TRAIN_SIZE", suite_options.train_size);
+      EnvSizeOrDie("GRED_BENCH_TRAIN_SIZE", suite_options.train_size);
   suite_options.test_size =
-      bench::EnvSizeOrDie("GRED_BENCH_TEST_SIZE", suite_options.test_size);
+      EnvSizeOrDie("GRED_BENCH_TEST_SIZE", suite_options.test_size);
   dataset::BenchmarkSuite suite = dataset::BuildBenchmarkSuite(suite_options);
 
   llm::SimulatedChatModel llm;
@@ -125,16 +125,14 @@ int main() {
   corpus.train = &suite.train;
   corpus.databases = &suite.databases;
 
-  const std::size_t num_requests =
-      bench::EnvSizeOrDie("GRED_CHAOS_REQUESTS", 200);
-  const std::size_t workers = bench::EnvSizeOrDie("GRED_SERVE_WORKERS", 2);
-  const double fault_rate =
-      bench::EnvRateOrDie("GRED_BENCH_FAULT_RATE", 0.2);
-  const std::size_t retries = bench::EnvSizeOrDie("GRED_BENCH_RETRIES", 3);
+  const std::size_t num_requests = EnvSizeOrDie("GRED_CHAOS_REQUESTS", 200);
+  const std::size_t workers = EnvSizeOrDie("GRED_SERVE_WORKERS", 2);
+  const double fault_rate = EnvRateOrDie("GRED_BENCH_FAULT_RATE", 0.2);
+  const std::size_t retries = EnvSizeOrDie("GRED_BENCH_RETRIES", 3);
   const std::size_t breaker_failures =
-      bench::EnvSizeOrDie("GRED_SERVE_BREAKER_FAILURES", 5);
+      EnvSizeOrDie("GRED_SERVE_BREAKER_FAILURES", 5);
   const std::size_t breaker_cooldown =
-      bench::EnvSizeOrDie("GRED_SERVE_BREAKER_COOLDOWN", 8);
+      EnvSizeOrDie("GRED_SERVE_BREAKER_COOLDOWN", 8);
 
   // -------------------------------------------------------------------
   // Phase A — dead-backend economics. Identical demand against a 100%

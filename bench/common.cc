@@ -11,22 +11,6 @@
 
 namespace gred::bench {
 
-// The strict readers moved to util/env.{h,cc} so the CLI and the
-// serving layer validate their knobs through the same code path; the
-// bench-namespace wrappers stay for every existing call site.
-
-std::size_t EnvSizeOrDie(const char* name, std::size_t fallback) {
-  return gred::EnvSizeOrDie(name, fallback);
-}
-
-double EnvRateOrDie(const char* name, double fallback) {
-  return gred::EnvRateOrDie(name, fallback);
-}
-
-bool EnvFlagOrDie(const char* name, bool fallback) {
-  return gred::EnvFlagOrDie(name, fallback);
-}
-
 ResilientStack MakeResilientStack(const llm::ChatModel* base,
                                   double fault_rate, std::size_t retries) {
   ResilientStack stack;

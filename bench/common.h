@@ -17,23 +17,6 @@
 
 namespace gred::bench {
 
-/// Reads a positive-integer environment override. Unset returns
-/// `fallback`; anything that does not parse as a strictly positive
-/// integer (garbage, sign, zero, overflow) prints a clear message to
-/// stderr and exits(2) — a mistyped override must not silently fall
-/// back and burn a long benchmark run on the wrong configuration.
-std::size_t EnvSizeOrDie(const char* name, std::size_t fallback);
-
-/// Reads a probability environment override in [0, 1]. Same strictness
-/// as EnvSizeOrDie: unset returns `fallback`, anything else that does
-/// not parse as a number in range exits(2).
-double EnvRateOrDie(const char* name, double fallback);
-
-/// Reads a boolean environment override: unset returns `fallback`, "0"
-/// is false, "1" is true, anything else prints a message and exits(2).
-/// (EnvSizeOrDie cannot express "0 = off", hence the separate helper.)
-bool EnvFlagOrDie(const char* name, bool fallback);
-
 /// Builds the fault/retry decorator stack around `base` from the given
 /// knobs. With `fault_rate == 0` the stack is empty and `base` itself is
 /// the active model (so fault-free runs are bit-identical to a run with
@@ -55,11 +38,12 @@ ResilientStack MakeResilientStack(const llm::ChatModel* base,
 /// Environment overrides (for quick local runs):
 ///   GRED_BENCH_TRAIN_SIZE, GRED_BENCH_TEST_SIZE, GRED_BENCH_SEED
 ///   (suite shape) and GRED_BENCH_THREADS (eval worker count; default
-///   hardware concurrency), all validated up front via EnvSizeOrDie;
+///   hardware concurrency), all validated up front via util/env.h's
+///   strict readers;
 ///   GRED_BENCH_FAULT_RATE (probability of an injected transient LLM
-///   fault per call, default 0 = no fault layer, validated via
-///   EnvRateOrDie) and GRED_BENCH_RETRIES (LLM attempts per call when
-///   the fault layer is active, default 3);
+///   fault per call, default 0 = no fault layer) and
+///   GRED_BENCH_RETRIES (LLM attempts per call when the fault layer is
+///   active, default 3);
 ///   GRED_BENCH_DEADLINE (per-example accounted-tick deadline) and
 ///   GRED_BENCH_ROW_BUDGET (per-example materialized-row budget), both
 ///   default unset = unguarded — when set they arm the eval watchdog

@@ -31,6 +31,7 @@
 #include "exec/executor.h"
 #include "schema/schema.h"
 #include "storage/table.h"
+#include "util/env.h"
 #include "util/json.h"
 #include "util/resource_guard.h"
 #include "util/rng.h"
@@ -106,8 +107,8 @@ gred::dvq::Predicate Cmp(const std::string& column,
 int main() {
   using namespace gred;
 
-  const std::size_t num_rows = bench::EnvSizeOrDie("GRED_EXEC_ROWS", 1000000);
-  const std::size_t reps = bench::EnvSizeOrDie("GRED_EXEC_REPS", 5);
+  const std::size_t num_rows = EnvSizeOrDie("GRED_EXEC_ROWS", 1000000);
+  const std::size_t reps = EnvSizeOrDie("GRED_EXEC_REPS", 5);
 
   // Synthetic star pair: fact table t (dense NULL-free ints g/x/v plus
   // a low-cardinality text s) and a unique-key dimension u, so the hash

@@ -15,7 +15,7 @@
 // training cost. Build costs (embedding, IVF training) are reported
 // separately.
 //
-// Environment (validated via EnvSizeOrDie; mistyped knobs exit(2)):
+// Environment (validated via util/env.h; mistyped knobs exit(2)):
 //   GRED_SWEEP_LIBRARY   library size            (default 100000)
 //   GRED_SWEEP_QUERIES   query count             (default 200)
 //   GRED_SWEEP_K         k of recall@k           (default 10)
@@ -42,6 +42,7 @@
 #include "embed/kernel.h"
 #include "embed/vector_store.h"
 #include "nl/lexicon.h"
+#include "util/env.h"
 #include "util/json.h"
 #include "util/strings.h"
 #include "util/table_printer.h"
@@ -97,12 +98,10 @@ double Recall(const std::vector<gred::embed::Hit>& truth,
 int main() {
   using namespace gred;
 
-  const std::size_t library_size =
-      bench::EnvSizeOrDie("GRED_SWEEP_LIBRARY", 100000);
-  const std::size_t num_queries =
-      bench::EnvSizeOrDie("GRED_SWEEP_QUERIES", 200);
-  const std::size_t k = bench::EnvSizeOrDie("GRED_SWEEP_K", 10);
-  const std::size_t dim = bench::EnvSizeOrDie("GRED_SWEEP_DIM", 256);
+  const std::size_t library_size = EnvSizeOrDie("GRED_SWEEP_LIBRARY", 100000);
+  const std::size_t num_queries = EnvSizeOrDie("GRED_SWEEP_QUERIES", 200);
+  const std::size_t k = EnvSizeOrDie("GRED_SWEEP_K", 10);
+  const std::size_t dim = EnvSizeOrDie("GRED_SWEEP_DIM", 256);
 
   std::printf("dot kernel target: %s\n",
               embed::DotTargetName(embed::ActiveDotTarget()));
@@ -202,7 +201,7 @@ int main() {
 
   std::vector<std::size_t> probe_sweep = {1, 2, 4, 8, 16};
   if (std::getenv("GRED_SWEEP_PROBES") != nullptr) {
-    probe_sweep = {bench::EnvSizeOrDie("GRED_SWEEP_PROBES", 1)};
+    probe_sweep = {EnvSizeOrDie("GRED_SWEEP_PROBES", 1)};
   }
   for (std::size_t probes : probe_sweep) {
     ivf.set_num_probes(probes);

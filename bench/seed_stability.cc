@@ -19,6 +19,7 @@
 #include "models/rgvisnet.h"
 #include "models/seq2vis.h"
 #include "models/transformer.h"
+#include "util/env.h"
 #include "util/strings.h"
 #include "util/table_printer.h"
 
@@ -32,8 +33,8 @@ int main() {
   for (std::uint64_t seed : seeds) {
     dataset::BenchmarkOptions options;
     options.seed = seed;
-    options.train_size = bench::EnvSizeOrDie("GRED_BENCH_TRAIN_SIZE", 2000);
-    options.test_size = bench::EnvSizeOrDie("GRED_BENCH_TEST_SIZE", 300);
+    options.train_size = EnvSizeOrDie("GRED_BENCH_TRAIN_SIZE", 2000);
+    options.test_size = EnvSizeOrDie("GRED_BENCH_TEST_SIZE", 300);
     std::fprintf(stderr, "[bench] seed %llu...\n",
                  static_cast<unsigned long long>(seed));
     dataset::BenchmarkSuite suite = dataset::BuildBenchmarkSuite(options);

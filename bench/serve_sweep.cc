@@ -42,6 +42,7 @@
 #include "bench/common.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "util/env.h"
 #include "util/json.h"
 #include "util/strings.h"
 #include "util/table_printer.h"
@@ -76,12 +77,11 @@ int main() {
   using namespace gred;
 
   dataset::BenchmarkOptions suite_options;
-  suite_options.seed =
-      bench::EnvSizeOrDie("GRED_BENCH_SEED", suite_options.seed);
+  suite_options.seed = EnvSizeOrDie("GRED_BENCH_SEED", suite_options.seed);
   suite_options.train_size =
-      bench::EnvSizeOrDie("GRED_BENCH_TRAIN_SIZE", suite_options.train_size);
+      EnvSizeOrDie("GRED_BENCH_TRAIN_SIZE", suite_options.train_size);
   suite_options.test_size =
-      bench::EnvSizeOrDie("GRED_BENCH_TEST_SIZE", suite_options.test_size);
+      EnvSizeOrDie("GRED_BENCH_TEST_SIZE", suite_options.test_size);
   dataset::BenchmarkSuite suite = dataset::BuildBenchmarkSuite(suite_options);
 
   llm::SimulatedChatModel llm;
@@ -93,10 +93,8 @@ int main() {
   // same warm cache (the sweep measures serving, not annotation).
   (void)gred.PrepareAnnotations(suite.databases);
 
-  const std::size_t num_requests =
-      bench::EnvSizeOrDie("GRED_SERVE_REQUESTS", 96);
-  const std::size_t queue_capacity =
-      bench::EnvSizeOrDie("GRED_SERVE_QUEUE", 64);
+  const std::size_t num_requests = EnvSizeOrDie("GRED_SERVE_REQUESTS", 96);
+  const std::size_t queue_capacity = EnvSizeOrDie("GRED_SERVE_QUEUE", 64);
 
   // The wire trace: the clean test split, cycled to the target length.
   std::vector<std::string> trace;
@@ -133,7 +131,7 @@ int main() {
 
   std::vector<std::size_t> worker_sweep = {1, 2, 4, 8};
   if (std::getenv("GRED_SERVE_THREADS") != nullptr) {
-    worker_sweep = {bench::EnvSizeOrDie("GRED_SERVE_THREADS", 1)};
+    worker_sweep = {EnvSizeOrDie("GRED_SERVE_THREADS", 1)};
   }
 
   struct SweepResult {

@@ -52,19 +52,20 @@ int main() {
   std::printf("Question : %s\n", example.nlq.c_str());
   std::printf("Database : %s\n\n", example.db_name.c_str());
 
-  Result<dvq::DVQ> dvq = gred.Translate(example.nlq, db->data);
-  if (!dvq.ok()) {
-    std::printf("translation failed: %s\n", dvq.status().ToString().c_str());
+  const core::Gred::Translation translation = gred.Run(example.nlq, db->data);
+  if (!translation.dvq.ok()) {
+    std::printf("translation failed: %s\n",
+                translation.dvq.status().ToString().c_str());
     return 1;
   }
-  const core::Gred::Trace& trace = gred.last_trace();
+  const core::Gred::Trace& trace = translation.trace;
   std::printf("Generator : %s\n", trace.dvq_gen.c_str());
-  std::printf("Retuner   : %s\n", trace.dvq_rtn.c_str());
-  std::printf("Debugger  : %s\n\n", trace.dvq_dbg.c_str());
+  std::printf("Retuner   : %s\n", trace.retune.dvq.c_str());
+  std::printf("Debugger  : %s\n\n", trace.debug.dvq.c_str());
   std::printf("Target    : %s\n\n", example.DvqText().c_str());
 
   // 4. Execute the DVQ and render the chart.
-  Result<viz::Chart> chart = viz::BuildChart(dvq.value(), db->data);
+  Result<viz::Chart> chart = viz::BuildChart(translation.dvq.value(), db->data);
   if (!chart.ok()) {
     std::printf("no chart produced: %s\n",
                 chart.status().ToString().c_str());

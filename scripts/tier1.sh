@@ -2,10 +2,10 @@
 # Tier-1 verification: full build + test suite, a Release micro-benchmark
 # smoke over the retrieval kernel, then a ThreadSanitizer pass over the
 # concurrency-sensitive tests (the parallel eval harness, the thread
-# pool, GRED's mutex-guarded annotation cache, the sharded embedding
-# cache, the exact retrieval backend's per-thread accumulators, and the
-# fault-tolerance layer, whose retry + degradation paths exercise the
-# annotation cache and stage timers concurrently).
+# pool, GRED's mutex-guarded annotation cache and per-call traces, the
+# sharded embedding cache, the exact retrieval backend's per-thread
+# accumulators, and the fault-tolerance layer, whose retry + degradation
+# paths exercise the annotation cache and stage timers concurrently).
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -139,12 +139,12 @@ TSAN_OPTIONS="halt_on_error=1" "$ROOT/build-tsan/tests/eval_test" \
 TSAN_OPTIONS="halt_on_error=1" "$ROOT/build-tsan/tests/llm_test" \
   --gtest_filter='Resilient.*'
 TSAN_OPTIONS="halt_on_error=1" "$ROOT/build-tsan/tests/gred_test" \
-  --gtest_filter='*Degraded*:*RetryRecovers*:*GeneratorFailure*'
+  --gtest_filter='*Degraded*:*RetryRecovers*:*GeneratorFailure*:*ConcurrentRuns*'
 TSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-tsan/tests/retrieval_equivalence_test" \
   --gtest_filter='CachingEmbedder.*:RetrievalIndexFacade.*'
 # The SIMD dot kernel resolves its dispatch target once per process
-# (magic static + env override); the hammer races many threads through
+# (magic static); the hammer races many threads through
 # Dot() and must stay data-race-free and bit-identical.
 TSAN_OPTIONS="halt_on_error=1" "$ROOT/build-tsan/tests/kernel_dispatch_test"
 # The serving layer is the repo's most concurrent surface: a bounded

@@ -1,9 +1,5 @@
 #include "embed/kernel.h"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-
 #if defined(GRED_KERNEL_AVX2)
 #include <immintrin.h>
 #endif
@@ -180,27 +176,9 @@ std::int64_t DotCodesNeon(const std::uint8_t* a, const std::uint8_t* b,
 
 #endif  // GRED_KERNEL_NEON
 
-/// Resolves GRED_DOT_TARGET (or picks the fastest supported target) once.
-/// Exits(2) on an unknown name or a target this binary/CPU cannot run —
-/// a mistyped override must not silently fall back to a different kernel
-/// and invalidate a benchmark run.
+/// Picks the fastest supported target (called once).
 DotTarget ResolveActiveTarget() {
   const std::vector<DotTarget> supported = SupportedDotTargets();
-  const char* env = std::getenv("GRED_DOT_TARGET");
-  if (env != nullptr && *env != '\0') {
-    for (DotTarget t : supported) {
-      if (std::strcmp(env, DotTargetName(t)) == 0) return t;
-    }
-    std::fprintf(stderr,
-                 "GRED_DOT_TARGET=%s is not a supported dot kernel target "
-                 "(supported:",
-                 env);
-    for (DotTarget t : supported) {
-      std::fprintf(stderr, " %s", DotTargetName(t));
-    }
-    std::fprintf(stderr, ")\n");
-    std::exit(2);
-  }
   // Preference order: vector ISAs, then the portable variant (it at
   // least permits compiler vectorization), then scalar.
   for (DotTarget want : {DotTarget::kAvx2, DotTarget::kNeon,

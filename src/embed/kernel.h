@@ -19,7 +19,7 @@ struct Hit {
 /// targets exist in a binary is decided at build time (CMake feature
 /// detection defines GRED_KERNEL_AVX2 / GRED_KERNEL_NEON /
 /// GRED_KERNEL_PORTABLE_SIMD); which one runs is decided once at startup
-/// from CPU capabilities, overridable with GRED_DOT_TARGET.
+/// from CPU capabilities.
 ///
 /// Every target computes the *same arithmetic DAG* as the scalar
 /// reference DotBlocked — four independent double accumulator chains,
@@ -39,7 +39,7 @@ enum class DotTarget {
 };
 
 /// Short stable name ("scalar", "portable", "avx2", "neon") used by
-/// GRED_DOT_TARGET, benchmark reports, and test output.
+/// benchmark reports and test output.
 const char* DotTargetName(DotTarget target);
 
 /// Targets compiled into this binary AND supported by this CPU (AVX2 is
@@ -47,11 +47,8 @@ const char* DotTargetName(DotTarget target);
 /// when __builtin_cpu_supports agrees). kScalar is always present.
 std::vector<DotTarget> SupportedDotTargets();
 
-/// The target Dot() dispatches to: GRED_DOT_TARGET when set (its value
-/// must name a supported target — anything else, including a target the
-/// CPU cannot run, prints a message and exits(2), matching the bench
-/// env-override convention), otherwise the fastest supported target.
-/// Decided once per process, thread-safely.
+/// The target Dot() dispatches to: the fastest supported target,
+/// decided once per process, thread-safely.
 DotTarget ActiveDotTarget();
 
 /// Dot product of `n` floats through the active SIMD target. The hot

@@ -4,30 +4,9 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/env.h"
+
 namespace gred::embed {
-
-namespace {
-
-/// Strict env integer: unset returns `fallback`; anything that does not
-/// parse as a non-negative integer exits(2). Mirrors the bench layer's
-/// EnvSizeOrDie, which lives above this library.
-std::size_t EnvSizeOrDie(const char* name, std::size_t fallback,
-                         bool allow_zero) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  const bool bad_zero = !allow_zero && parsed == 0;
-  if (end == value || *end != '\0' || bad_zero ||
-      std::strchr(value, '-') != nullptr) {
-    std::fprintf(stderr, "%s=%s is not a valid %spositive integer\n", name,
-                 value, allow_zero ? "zero-or-" : "strictly ");
-    std::exit(2);
-  }
-  return static_cast<std::size_t>(parsed);
-}
-
-}  // namespace
 
 const char* RetrievalBackendName(RetrievalBackend backend) {
   switch (backend) {
@@ -44,7 +23,7 @@ const char* RetrievalBackendName(RetrievalBackend backend) {
 RetrievalConfig RetrievalConfig::FromEnv() {
   RetrievalConfig config;
   const char* backend = std::getenv("GRED_RETRIEVAL_BACKEND");
-  if (backend != nullptr && *backend != '\0') {
+  if (backend != nullptr) {
     if (std::strcmp(backend, "exact") == 0) {
       config.backend = RetrievalBackend::kExact;
     } else if (std::strcmp(backend, "quantized") == 0) {
@@ -59,10 +38,10 @@ RetrievalConfig RetrievalConfig::FromEnv() {
       std::exit(2);
     }
   }
-  config.rerank_factor = EnvSizeOrDie("GRED_RETRIEVAL_RERANK", 4, false);
-  config.ivf.num_probes = EnvSizeOrDie("GRED_RETRIEVAL_PROBES", 8, false);
-  config.ivf.num_clusters =
-      EnvSizeOrDie("GRED_RETRIEVAL_CLUSTERS", 0, true);  // 0 = auto sqrt(n)
+  config.rerank_factor = EnvSizeOrDie("GRED_RETRIEVAL_RERANK", 4);
+  config.ivf.num_probes = EnvSizeOrDie("GRED_RETRIEVAL_PROBES", 8);
+  config.ivf.num_clusters = static_cast<std::size_t>(
+      EnvCountOrDie("GRED_RETRIEVAL_CLUSTERS", 0));  // 0 = auto sqrt(n)
   // The env-configured IVF backend is the production shape: int8 list
   // scans with an exact re-rank sharing the quantized backend's widening.
   config.ivf.quantized_scan = true;

@@ -34,9 +34,9 @@ const char* RetrievalBackendName(RetrievalBackend backend);
 ///   GRED_RETRIEVAL_PROBES    IVF probe count            (default 8)
 ///   GRED_RETRIEVAL_CLUSTERS  IVF cluster count, 0 = auto ~sqrt(n)
 ///   GRED_RETRIEVAL_RERANK    shortlist widening factor  (default 4)
-/// Invalid values print a message and exit(2) (the bench env-override
-/// convention: a mistyped knob must not silently fall back and burn a
-/// run on the wrong configuration). The default is exact, whose hits
+/// Invalid values, including set-but-empty ones, print a message and
+/// exit(2) (util/env.h: a mistyped knob must not silently fall back and
+/// burn a run on the wrong configuration). The default is exact, whose hits
 /// are bit-identical to the dense VectorStore::TopK scan, so unset
 /// environments — every committed eval table — produce the same output
 /// as a dense scan would.

@@ -92,83 +92,136 @@ Result<std::size_t> Gred::PrepareAnnotations(
   return annotated;
 }
 
-Gred::Trace Gred::last_trace() const {
-  std::lock_guard<std::mutex> lock(trace_mutex_);
-  return trace_;
-}
-
 Gred::StageStats Gred::stage_stats() const {
-  StageStats stats;
-  stats.retrieval_seconds = retrieval_time_.seconds();
-  stats.retune_seconds = retune_time_.seconds();
-  stats.debug_seconds = debug_time_.seconds();
-  stats.translate_calls = translate_calls_.load(std::memory_order_relaxed);
-  stats.retune_degraded = retune_degraded_.load(std::memory_order_relaxed);
-  stats.debug_degraded = debug_degraded_.load(std::memory_order_relaxed);
-  stats.retune_budget_trips =
-      retune_budget_trips_.load(std::memory_order_relaxed);
-  stats.debug_budget_trips =
-      debug_budget_trips_.load(std::memory_order_relaxed);
-  stats.retune_lint_trips = retune_lint_trips_.load(std::memory_order_relaxed);
-  stats.debug_lint_trips = debug_lint_trips_.load(std::memory_order_relaxed);
-  stats.retune_repairs = retune_repairs_.load(std::memory_order_relaxed);
-  stats.debug_repairs = debug_repairs_.load(std::memory_order_relaxed);
-  return stats;
+  auto load = [](const std::atomic<std::uint64_t>& n) {
+    return n.load(std::memory_order_relaxed);
+  };
+  const StageCounters& rtn = retuner_counters_;
+  const StageCounters& dbg = debugger_counters_;
+  return {.retrieval_seconds = retrieval_time_.seconds(),
+          .retune_seconds = rtn.time.seconds(),
+          .debug_seconds = dbg.time.seconds(),
+          .translate_calls = load(translate_calls_),
+          .retune_degraded = load(rtn.degraded),
+          .debug_degraded = load(dbg.degraded),
+          .retune_budget_trips = load(rtn.budget_trips),
+          .debug_budget_trips = load(dbg.budget_trips),
+          .retune_lint_trips = load(rtn.lint_trips),
+          .debug_lint_trips = load(dbg.lint_trips),
+          .retune_repairs = load(rtn.repairs),
+          .debug_repairs = load(dbg.repairs)};
 }
 
 /// Validates a stage's DVQ text under the configured per-stage budget.
 /// With unlimited stage_limits this is a plain Parse — bit-identical to
-/// the pre-guard pipeline. `budget_tripped` (optional) reports whether
-/// the parse failed specifically because the budget ran out.
-Result<dvq::DVQ> Gred::ParseWithinStageBudget(const std::string& text,
-                                              bool* budget_tripped) const {
-  if (budget_tripped != nullptr) *budget_tripped = false;
+/// the pre-guard pipeline, and never kResourceExhausted.
+Result<dvq::DVQ> Gred::ParseWithinStageBudget(const std::string& text) const {
   if (config_.stage_limits.Unlimited()) return dvq::Parse(text);
   ExecContext guard(config_.stage_limits);
-  Result<dvq::DVQ> parsed = dvq::Parse(text, &guard);
-  if (!parsed.ok() && parsed.status().IsResourceExhausted() &&
-      budget_tripped != nullptr) {
-    *budget_tripped = true;
+  return dvq::Parse(text, &guard);
+}
+
+Gred::StageTrace Gred::AcceptStage(const Result<std::string>& completion,
+                                   const schema::Database& schema,
+                                   StageCounters* counters,
+                                   std::string* current) const {
+  // A truncated/corrupted/oversized completion must not replace a
+  // healthy DVQ. With enable_lint the bar rises: a candidate the
+  // analyzer proves broken against the schema (error-level diagnostic)
+  // is rejected exactly like a budget trip, unless enable_repair's one
+  // deterministic repair attempt (DESIGN.md §17) makes it error-free.
+  StageTrace stage;
+  std::string candidate =
+      completion.ok() ? llm::ExtractDvqText(completion.value()) : "";
+  Result<dvq::DVQ> parsed =
+      candidate.empty()
+          ? Result<dvq::DVQ>(Status::ParseError("stage produced no DVQ"))
+          : ParseWithinStageBudget(candidate);
+  if (parsed.ok() && config_.enable_lint) {
+    analysis::DvqAnalyzer analyzer(&schema);
+    stage.lint_rejected = analysis::HasErrors(analyzer.Analyze(parsed.value()));
+    if (stage.lint_rejected && config_.enable_repair) {
+      analysis::DvqRepairer repairer(&schema);
+      analysis::RepairResult repaired = repairer.Repair(parsed.value());
+      if (repaired.success) {
+        candidate = repaired.dvq.ToString();
+        stage.lint_rejected = false;
+        stage.repaired = true;
+        counters->repairs.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
   }
-  return parsed;
+  if (!parsed.ok() || stage.lint_rejected) {
+    stage.degraded = true;
+    counters->degraded.fetch_add(1, std::memory_order_relaxed);
+    if (parsed.status().IsResourceExhausted()) {
+      counters->budget_trips.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (stage.lint_rejected) {
+      counters->lint_trips.fetch_add(1, std::memory_order_relaxed);
+    }
+    return stage;
+  }
+  stage.dvq = candidate;
+  *current = std::move(candidate);
+  return stage;
 }
 
-Result<dvq::DVQ> Gred::Translate(const std::string& nlq,
-                                 const storage::DatabaseData& db) const {
-  return TranslateWithTrace(nlq, db, nullptr);
+Result<std::string> Gred::RetuneCompletion(const std::string& current) const {
+  std::vector<models::DvqIndex::Hit> hits =
+      dvq_index_->TopK(current, config_.k);
+  std::vector<std::string> references;
+  references.reserve(hits.size());
+  for (const models::DvqIndex::Hit& hit : hits) {
+    references.push_back(hit.example->DvqText());
+  }
+  return llm_->Complete(llm::BuildRetunePrompt(references, current),
+                        WorkingOptions());
 }
 
-Result<dvq::DVQ> Gred::TranslateWithTrace(const std::string& nlq,
-                                          const storage::DatabaseData& db,
-                                          Trace* trace_out) const {
-  return TranslateWithTrace(nlq, db, trace_out, TranslateOptions{});
+Result<std::string> Gred::DebugCompletion(
+    const std::string& current, const std::string& target_schema,
+    const schema::Database& schema) const {
+  // An annotation-generation failure (cached per schema) fails the
+  // stage like a failed completion: no debugger prompt is sent.
+  std::string annotations;
+  if (config_.debugger_uses_annotations) {
+    Result<std::string> fetched = AnnotationsFor(schema);
+    if (!fetched.ok()) return fetched.status();
+    annotations = std::move(fetched).value();
+  }
+  // With linting on, the debugger does not rediscover schema mismatches
+  // from the annotations alone: the analyzer's findings on the incoming
+  // DVQ ride along in the prompt as structured repair evidence (empty
+  // findings leave the prompt byte-identical to the stock C.4 prompt).
+  std::string lint_findings;
+  if (config_.enable_lint) {
+    Result<dvq::DVQ> incoming = dvq::Parse(current);
+    if (incoming.ok()) {
+      analysis::DvqAnalyzer analyzer(&schema);
+      lint_findings =
+          analysis::RenderDiagnostics(analyzer.Analyze(incoming.value()));
+    }
+  }
+  return llm_->Complete(llm::BuildDebugPrompt(target_schema, annotations,
+                                              current, lint_findings),
+                        WorkingOptions());
 }
 
-Result<dvq::DVQ> Gred::TranslateWithTrace(
-    const std::string& nlq, const storage::DatabaseData& db, Trace* trace_out,
-    const TranslateOptions& options) const {
-  // The trace is built locally and committed at the end so concurrent
-  // Translate calls never interleave writes into trace_; `trace_out`
-  // receives this call's own copy (per-request flags for the serving
-  // layer, race-free under concurrent sessions).
+Gred::Translation Gred::Run(const std::string& nlq,
+                            const storage::DatabaseData& db,
+                            const TranslateOptions& options) const {
   Trace trace;
   translate_calls_.fetch_add(1, std::memory_order_relaxed);
-  auto commit_trace = [this, &trace, trace_out] {
-    if (trace_out != nullptr) *trace_out = trace;
-    std::lock_guard<std::mutex> lock(trace_mutex_);
-    trace_ = trace;
-  };
 
   // --- NLQ-Retrieval Generator -------------------------------------------
-  std::string current;
   std::string target_schema;
   {
     ScopedTimer timer(&retrieval_time_);
     std::vector<models::ExampleIndex::Hit> hits =
         nlq_index_->TopK(nlq, config_.k);
     if (hits.empty()) {
-      commit_trace();
-      return Status::NotFound("GRED: empty embedding library");
+      return {Status::NotFound("GRED: empty embedding library"), trace};
     }
     // hits are descending by similarity; the paper assembles the prompt in
     // ascending order so the most similar example sits next to the
@@ -193,170 +246,32 @@ Result<dvq::DVQ> Gred::TranslateWithTrace(
         llm::BuildGenerationPrompt(examples, target_schema, nlq);
     Result<std::string> gen_completion =
         llm_->Complete(gen_prompt, WorkingOptions());
-    if (!gen_completion.ok()) {
-      commit_trace();
-      return gen_completion.status();
+    if (!gen_completion.ok()) return {gen_completion.status(), trace};
+    trace.dvq_gen = llm::ExtractDvqText(gen_completion.value());
+    if (trace.dvq_gen.empty()) {
+      return {Status::ExecutionError("GRED: generator produced no DVQ"),
+              trace};
     }
-    std::string dvq_gen = llm::ExtractDvqText(gen_completion.value());
-    if (dvq_gen.empty()) {
-      commit_trace();
-      return Status::ExecutionError("GRED: generator produced no DVQ");
-    }
-    trace.dvq_gen = dvq_gen;
-    current = dvq_gen;
   }
+  std::string current = trace.dvq_gen;
 
-  // --- DVQ-Retrieval Retuner ----------------------------------------------
-  // A retuner failure — transient LLM error surviving retries, or a
-  // completion with no extractable DVQ — degrades rather than fails the
-  // call: the generator's DVQ carries forward, the trace keeps dvq_rtn
-  // empty (the stage produced nothing) and marks the stage degraded.
+  // --- DVQ-Retrieval Retuner, Annotation-based Debugger -----------------
   if (config_.enable_retuner && options.enable_retuner) {
-    ScopedTimer timer(&retune_time_);
-    std::vector<models::DvqIndex::Hit> dvq_hits =
-        dvq_index_->TopK(current, config_.k);
-    std::vector<std::string> references;
-    references.reserve(dvq_hits.size());
-    for (const models::DvqIndex::Hit& hit : dvq_hits) {
-      references.push_back(hit.example->DvqText());
-    }
-    llm::Prompt retune_prompt = llm::BuildRetunePrompt(references, current);
-    Result<std::string> retune_completion =
-        llm_->Complete(retune_prompt, WorkingOptions());
-    std::string dvq_rtn;
-    if (retune_completion.ok()) {
-      dvq_rtn = llm::ExtractDvqText(retune_completion.value());
-    }
-    // Accept the stage's output only when it is a parseable DVQ within
-    // the per-stage budget: a truncated/corrupted/oversized completion
-    // must not replace a healthy DVQ. With enable_lint the bar rises:
-    // a candidate the analyzer proves broken against the schema
-    // (error-level diagnostic) is rejected exactly like a budget trip.
-    bool budget_tripped = false;
-    bool lint_rejected = false;
-    Result<dvq::DVQ> parsed_rtn =
-        dvq_rtn.empty()
-            ? Result<dvq::DVQ>(Status::ParseError("retuner produced no DVQ"))
-            : ParseWithinStageBudget(dvq_rtn, &budget_tripped);
-    if (parsed_rtn.ok() && config_.enable_lint) {
-      analysis::DvqAnalyzer analyzer(&db.db_schema());
-      lint_rejected = analysis::HasErrors(analyzer.Analyze(parsed_rtn.value()));
-      // One deterministic repair attempt before degradation
-      // (DESIGN.md §17): an error-free repaired candidate is accepted
-      // in place of the rejected one.
-      if (lint_rejected && config_.enable_repair) {
-        analysis::DvqRepairer repairer(&db.db_schema());
-        analysis::RepairResult repaired = repairer.Repair(parsed_rtn.value());
-        if (repaired.success) {
-          dvq_rtn = repaired.dvq.ToString();
-          lint_rejected = false;
-          trace.rtn_repaired = true;
-          retune_repairs_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-    if (!parsed_rtn.ok() || lint_rejected) {
-      trace.rtn_degraded = true;
-      trace.rtn_lint_rejected = lint_rejected;
-      retune_degraded_.fetch_add(1, std::memory_order_relaxed);
-      if (budget_tripped) {
-        retune_budget_trips_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (lint_rejected) {
-        retune_lint_trips_.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else {
-      trace.dvq_rtn = dvq_rtn;
-      current = std::move(dvq_rtn);
-    }
+    ScopedTimer timer(&retuner_counters_.time);
+    trace.retune = AcceptStage(RetuneCompletion(current), db.db_schema(),
+                               &retuner_counters_, &current);
   }
-
-  // --- Annotation-based Debugger -------------------------------------------
-  // Same fallback contract as the retuner; an annotation-generation
-  // failure (cached per schema) also degrades the stage.
   if (config_.enable_debugger && options.enable_debugger) {
-    ScopedTimer timer(&debug_time_);
-    bool degraded = false;
-    std::string annotations;
-    if (config_.debugger_uses_annotations) {
-      Result<std::string> fetched = AnnotationsFor(db.db_schema());
-      if (fetched.ok()) {
-        annotations = fetched.value();
-      } else {
-        degraded = true;
-      }
-    }
-    if (!degraded) {
-      // With linting on, the debugger does not rediscover schema
-      // mismatches from the annotations alone: the analyzer's findings
-      // on the incoming DVQ ride along in the prompt as structured
-      // repair evidence (empty findings leave the prompt byte-identical
-      // to the stock C.4 prompt).
-      std::string lint_findings;
-      if (config_.enable_lint) {
-        Result<dvq::DVQ> incoming = dvq::Parse(current);
-        if (incoming.ok()) {
-          analysis::DvqAnalyzer analyzer(&db.db_schema());
-          lint_findings =
-              analysis::RenderDiagnostics(analyzer.Analyze(incoming.value()));
-        }
-      }
-      llm::Prompt debug_prompt = llm::BuildDebugPrompt(
-          target_schema, annotations, current, lint_findings);
-      Result<std::string> debug_completion =
-          llm_->Complete(debug_prompt, WorkingOptions());
-      std::string dvq_dbg;
-      if (debug_completion.ok()) {
-        dvq_dbg = llm::ExtractDvqText(debug_completion.value());
-      }
-      bool budget_tripped = false;
-      bool lint_rejected = false;
-      Result<dvq::DVQ> parsed_dbg =
-          dvq_dbg.empty()
-              ? Result<dvq::DVQ>(
-                    Status::ParseError("debugger produced no DVQ"))
-              : ParseWithinStageBudget(dvq_dbg, &budget_tripped);
-      if (parsed_dbg.ok() && config_.enable_lint) {
-        analysis::DvqAnalyzer analyzer(&db.db_schema());
-        lint_rejected =
-            analysis::HasErrors(analyzer.Analyze(parsed_dbg.value()));
-        if (lint_rejected && config_.enable_repair) {
-          analysis::DvqRepairer repairer(&db.db_schema());
-          analysis::RepairResult repaired =
-              repairer.Repair(parsed_dbg.value());
-          if (repaired.success) {
-            dvq_dbg = repaired.dvq.ToString();
-            lint_rejected = false;
-            trace.dbg_repaired = true;
-            debug_repairs_.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      }
-      if (!parsed_dbg.ok() || lint_rejected) {
-        degraded = true;
-        trace.dbg_lint_rejected = lint_rejected;
-        if (budget_tripped) {
-          debug_budget_trips_.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (lint_rejected) {
-          debug_lint_trips_.fetch_add(1, std::memory_order_relaxed);
-        }
-      } else {
-        trace.dvq_dbg = dvq_dbg;
-        current = std::move(dvq_dbg);
-      }
-    }
-    if (degraded) {
-      trace.dbg_degraded = true;
-      debug_degraded_.fetch_add(1, std::memory_order_relaxed);
-    }
+    ScopedTimer timer(&debugger_counters_.time);
+    trace.debug =
+        AcceptStage(DebugCompletion(current, target_schema, db.db_schema()),
+                    db.db_schema(), &debugger_counters_, &current);
   }
 
-  commit_trace();
   // The final parse is the generator-or-survivor DVQ: there is nothing
   // to fall back to, so a tripped budget here surfaces as a typed
   // kResourceExhausted (the generator-failure convention).
-  return ParseWithinStageBudget(current, nullptr);
+  return {ParseWithinStageBudget(current), std::move(trace)};
 }
 
 }  // namespace gred::core

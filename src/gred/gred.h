@@ -63,6 +63,17 @@ struct GredConfig {
   bool enable_repair = false;
 };
 
+/// Per-call pipeline controls, for callers that must shed work on
+/// some requests without rebuilding the pipeline (the serving layer's
+/// brownout mode, DESIGN.md §16). A disabled stage is *skipped* — not
+/// degraded: no LLM call is made, no degradation counter moves, and
+/// the previous stage's DVQ carries forward exactly as if the stage
+/// were disabled in GredConfig. Defaults run the full pipeline.
+struct TranslateOptions {
+  bool enable_retuner = true;
+  bool enable_debugger = true;
+};
+
 /// Generates the natural-language annotation text for one database by
 /// prompting `llm` with the Appendix C.1 prompt (preparation phase uses
 /// zero penalties, per Section 5.1).
@@ -81,98 +92,81 @@ class Gred : public models::TextToVisModel {
 
   std::string name() const override { return "GRED" + config_.name_suffix; }
 
-  /// Thread-safe: concurrent Translate calls share the annotation cache
+  /// What one Retuner or Debugger run did. A stage accepts its LLM's DVQ
+  /// only when it parses within GredConfig::stage_limits and, with
+  /// enable_lint, lints clean or is repaired clean (enable_repair);
+  /// otherwise it degrades: `dvq` stays empty (the stage produced
+  /// nothing usable) and the previous stage's DVQ carries forward
+  /// (DESIGN.md §8). A stage that did not run is all-default.
+  struct StageTrace {
+    std::string dvq;  // the accepted DVQ text
+    bool degraded = false;
+    /// Subset of degradations where the candidate parsed but the static
+    /// analyzer found an error-level diagnostic.
+    bool lint_rejected = false;
+    /// The candidate was lint-rejected, then statically repaired to an
+    /// error-free DVQ which was accepted. Excludes `lint_rejected` and
+    /// `degraded`.
+    bool repaired = false;
+    bool operator==(const StageTrace&) const = default;
+  };
+
+  /// One call's intermediate artifacts (for the case study, the serving
+  /// layer's per-request degradation flags, and tests). The generator
+  /// has no fallback, so it has no degraded flag — its failures fail
+  /// the call.
+  struct Trace {
+    std::string dvq_gen;
+    StageTrace retune;
+    StageTrace debug;
+    bool operator==(const Trace&) const = default;
+  };
+
+  /// Run's result: the final DVQ (or the error that failed the call)
+  /// and the call's own trace, filled as far as the pipeline got.
+  struct Translation {
+    Result<dvq::DVQ> dvq;
+    Trace trace;
+  };
+
+  /// Translates one question: the single traced entry point.
+  ///
+  /// Thread-safe: concurrent calls share the annotation cache
   /// (mutex-guarded) and the immutable embedding libraries built in the
-  /// constructor. `last_trace()` reflects whichever call finished last.
+  /// constructor; each call's trace is its own.
   ///
   /// Fault tolerance: a retuner or debugger failure (LLM error after any
-  /// retries, or a completion with no extractable DVQ) degrades the call
-  /// — the previous stage's DVQ carries forward and the trace marks the
-  /// stage degraded — instead of failing it. Only a generator failure,
-  /// which leaves nothing to fall back to, returns an error.
+  /// retries, a completion with no extractable DVQ, a budget or lint
+  /// trip, or a failed annotation fetch for the debugger) degrades the
+  /// call instead of failing it. Only a generator failure, which leaves
+  /// nothing to fall back to, returns an error.
+  Translation Run(const std::string& nlq, const storage::DatabaseData& db,
+                  const TranslateOptions& options = {}) const;
+
+  /// The models::TextToVisModel interface (eval, baselines): Run's DVQ.
   Result<dvq::DVQ> Translate(const std::string& nlq,
-                             const storage::DatabaseData& db) const override;
+                             const storage::DatabaseData& db) const override {
+    return Run(nlq, db).dvq;
+  }
 
   /// Preparatory phase, step 2 (Section 4.1): generates and caches the
-  /// NL annotations for every given database up front, so Translate
-  /// never pays annotation latency. Returns the number of databases
+  /// NL annotations for every given database up front, so Run never
+  /// pays annotation latency. Returns the number of databases
   /// successfully annotated (cache hits included); failures — possible
   /// only with a fault-injecting LLM — are cached too (so the outcome is
   /// decided once, deterministically) and excluded from the count.
   Result<std::size_t> PrepareAnnotations(
       const std::vector<dataset::GeneratedDatabase>& databases) const;
 
-  /// Intermediate artifacts of the last Translate call (for the case
-  /// study and tests): generator output, retuner output, debugger output.
-  /// A stage that ran but produced nothing usable (LLM failure after
-  /// retries, or a completion with no extractable DVQ) leaves its dvq_*
-  /// field empty and sets its degraded flag; the pipeline falls back to
-  /// the previous stage's DVQ. The generator has no fallback, so it has
-  /// no degraded flag — its failures fail Translate.
-  struct Trace {
-    std::string dvq_gen;
-    std::string dvq_rtn;
-    std::string dvq_dbg;
-    bool rtn_degraded = false;
-    bool dbg_degraded = false;
-    /// Subset of the degradations above where the stage's candidate DVQ
-    /// parsed fine but the static analyzer found an error-level
-    /// diagnostic (GredConfig::enable_lint).
-    bool rtn_lint_rejected = false;
-    bool dbg_lint_rejected = false;
-    /// The stage's candidate was lint-rejected but statically repaired
-    /// to an error-free DVQ which the pipeline accepted
-    /// (GredConfig::enable_repair). Mutually exclusive with the
-    /// corresponding *_lint_rejected / *_degraded flags.
-    bool rtn_repaired = false;
-    bool dbg_repaired = false;
-  };
-  /// Snapshot of the most recently completed Translate's trace (copied
-  /// under the trace mutex; under concurrency "last" means whichever
-  /// call committed its trace last).
-  Trace last_trace() const;
-
-  /// Per-call pipeline controls, for callers that must shed work on
-  /// some requests without rebuilding the pipeline (the serving layer's
-  /// brownout mode, DESIGN.md §16). A disabled stage is *skipped* — not
-  /// degraded: no LLM call is made, no degradation counter moves, and
-  /// the previous stage's DVQ carries forward exactly as if the stage
-  /// were disabled in GredConfig. Defaults run the full pipeline, so
-  /// `TranslateOptions{}` is byte-identical to the plain overloads.
-  struct TranslateOptions {
-    bool enable_retuner = true;
-    bool enable_debugger = true;
-  };
-
-  /// Translate variant reporting this call's trace through `trace_out`
-  /// (may be null). Under concurrency `last_trace()` only reflects
-  /// whichever call committed last, so callers that need *their own*
-  /// call's degradation flags — the serving layer stamps them into
-  /// every response — use this overload instead of racing on
-  /// `last_trace()`. The shared trace is still committed, so
-  /// `last_trace()` semantics are unchanged; `Translate(nlq, db)` is
-  /// exactly this call with a null `trace_out`.
-  Result<dvq::DVQ> TranslateWithTrace(const std::string& nlq,
-                                      const storage::DatabaseData& db,
-                                      Trace* trace_out) const;
-
-  /// TranslateWithTrace with per-call stage controls (see
-  /// TranslateOptions); the three-argument overload is exactly this
-  /// call with default options.
-  Result<dvq::DVQ> TranslateWithTrace(const std::string& nlq,
-                                      const storage::DatabaseData& db,
-                                      Trace* trace_out,
-                                      const TranslateOptions& options) const;
-
   /// Cumulative wall time spent in each pipeline stage across every
-  /// Translate on this instance (summed over threads in parallel runs).
+  /// call on this instance (summed over threads in parallel runs).
   struct StageStats {
     double retrieval_seconds = 0.0;  // NLQ-Retrieval Generator
     double retune_seconds = 0.0;     // DVQ-Retrieval Retuner
     double debug_seconds = 0.0;      // Annotation-based Debugger
     std::uint64_t translate_calls = 0;
-    /// Translate calls whose retuner / debugger stage fell back to the
-    /// previous stage's DVQ (zero unless the LLM actually fails).
+    /// Calls whose retuner / debugger stage fell back to the previous
+    /// stage's DVQ (StageTrace::degraded).
     std::uint64_t retune_degraded = 0;
     std::uint64_t debug_degraded = 0;
     /// Subset of the degradations above caused specifically by the
@@ -180,22 +174,19 @@ class Gred : public models::TextToVisModel {
     /// while validating the stage's completion.
     std::uint64_t retune_budget_trips = 0;
     std::uint64_t debug_budget_trips = 0;
-    /// Degradations caused by the static analysis gate: the stage's
-    /// candidate parsed but carried an error-level diagnostic
-    /// (GredConfig::enable_lint; zero when linting is off).
+    /// Degradations caused by the static analysis gate
+    /// (StageTrace::lint_rejected; zero when linting is off).
     std::uint64_t retune_lint_trips = 0;
     std::uint64_t debug_lint_trips = 0;
     /// Lint-rejected candidates rescued by the static repairer and
-    /// accepted (GredConfig::enable_repair; zero when repair is off).
-    /// Disjoint from the lint-trip counters: a repaired candidate is
-    /// not counted degraded.
+    /// accepted (StageTrace::repaired; zero when repair is off).
     std::uint64_t retune_repairs = 0;
     std::uint64_t debug_repairs = 0;
   };
   StageStats stage_stats() const;
 
-  /// Hit/miss counters of the shared embedding cache (all Translate
-  /// threads embed through one CachingEmbedder; fault sweeps and k-sweeps
+  /// Hit/miss counters of the shared embedding cache (all Run threads
+  /// embed through one CachingEmbedder; fault sweeps and k-sweeps
   /// re-embed the same NLQs, so hits dominate on re-runs).
   embed::CachingEmbedder::Stats embed_cache_stats() const {
     return embedder_->stats();
@@ -204,11 +195,33 @@ class Gred : public models::TextToVisModel {
   const GredConfig& config() const { return config_; }
 
  private:
+  /// Cumulative counters of one degradable stage (see StageStats).
+  struct StageCounters {
+    AtomicDuration time;
+    std::atomic<std::uint64_t> degraded{0};
+    std::atomic<std::uint64_t> budget_trips{0};
+    std::atomic<std::uint64_t> lint_trips{0};
+    std::atomic<std::uint64_t> repairs{0};
+  };
+
   /// Parses stage output under config_.stage_limits (one accounted tick
   /// per token); see GredConfig::stage_limits for the degradation
   /// contract. Unlimited limits parse unguarded.
-  Result<dvq::DVQ> ParseWithinStageBudget(const std::string& text,
-                                          bool* budget_tripped) const;
+  Result<dvq::DVQ> ParseWithinStageBudget(const std::string& text) const;
+
+  /// The Retuner's and the Debugger's LLM completions for `current`
+  /// (prompts C.3 and C.4).
+  Result<std::string> RetuneCompletion(const std::string& current) const;
+  Result<std::string> DebugCompletion(const std::string& current,
+                                      const std::string& target_schema,
+                                      const schema::Database& schema) const;
+
+  /// The Retuner/Debugger acceptance rule (StageTrace): accepts the DVQ
+  /// extracted from `completion` into `*current` or leaves `*current`
+  /// as it is, and counts the outcome in `counters`.
+  StageTrace AcceptStage(const Result<std::string>& completion,
+                         const schema::Database& schema,
+                         StageCounters* counters, std::string* current) const;
 
   /// Annotation collection, keyed by schema fingerprint (clean and
   /// perturbed corpora share database names but not schemas). Failures
@@ -226,25 +239,15 @@ class Gred : public models::TextToVisModel {
   std::unique_ptr<models::DvqIndex> dvq_index_;
   std::map<std::string, std::string> db_schema_prompts_;  // by db name
   /// Schema prompt per training example (nullptr when the example's
-  /// database is unknown), resolved once at construction so Translate
+  /// database is unknown), resolved once at construction so Run
   /// never lower-cases a db name on the retrieval hot path.
   std::vector<const std::string*> example_schema_prompts_;
   mutable std::mutex annotation_mutex_;  // guards annotation_cache_
   mutable std::map<std::string, Result<std::string>> annotation_cache_;
-  mutable std::mutex trace_mutex_;  // guards trace_
-  mutable Trace trace_;
   mutable AtomicDuration retrieval_time_;
-  mutable AtomicDuration retune_time_;
-  mutable AtomicDuration debug_time_;
   mutable std::atomic<std::uint64_t> translate_calls_{0};
-  mutable std::atomic<std::uint64_t> retune_degraded_{0};
-  mutable std::atomic<std::uint64_t> debug_degraded_{0};
-  mutable std::atomic<std::uint64_t> retune_budget_trips_{0};
-  mutable std::atomic<std::uint64_t> debug_budget_trips_{0};
-  mutable std::atomic<std::uint64_t> retune_lint_trips_{0};
-  mutable std::atomic<std::uint64_t> debug_lint_trips_{0};
-  mutable std::atomic<std::uint64_t> retune_repairs_{0};
-  mutable std::atomic<std::uint64_t> debug_repairs_{0};
+  mutable StageCounters retuner_counters_;
+  mutable StageCounters debugger_counters_;
 };
 
 }  // namespace gred::core

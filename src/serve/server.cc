@@ -339,29 +339,57 @@ std::string Server::Process(const Request& request, bool brownout) const {
   }
 
   // Translation runs on the epoch's shared Gred (shared CachingEmbedder
-  // + annotation caches across all sessions); the per-call trace
+  // + annotation caches across all sessions); the returned trace
   // carries this request's own degradation flags. Brownout admissions
   // shed the retuner/debugger stages — the quality slope that replaces
   // the reject cliff.
-  core::Gred::TranslateOptions translate_options;
+  core::TranslateOptions translate_options;
   translate_options.enable_retuner = !brownout;
   translate_options.enable_debugger = !brownout;
-  core::Gred::Trace trace;
   const auto translate_start = std::chrono::steady_clock::now();
-  Result<dvq::DVQ> dvq = epoch->gred->TranslateWithTrace(
-      request.nlq, db->data, &trace, translate_options);
+  const core::Gred::Translation translation =
+      epoch->gred->Run(request.nlq, db->data, translate_options);
   const std::int64_t translate_us =
       timed ? ElapsedMicros(translate_start) : 0;
-  if (!dvq.ok()) {
+  if (!translation.dvq.ok()) {
     failed_.fetch_add(1, std::memory_order_relaxed);
-    if (dvq.status().IsResourceExhausted()) {
+    if (translation.dvq.status().IsResourceExhausted()) {
       resource_exhausted_.fetch_add(1, std::memory_order_relaxed);
     }
-    return ErrorResponse(&request.id, dvq.status());
+    return ErrorResponse(&request.id, translation.dvq.status());
   }
+  const dvq::DVQ& query = translation.dvq.value();
+  const core::Gred::Trace& trace = translation.trace;
 
-  json::Value out = json::Value::Object();
-  if (!request.id.is_null()) out.Set("id", request.id);
+  // Every translated request — charted, failed in the data path, or
+  // rejected by the cost gate — answers through this one builder:
+  // id, ok, dvq, sql, degraded, then the fields `outcome` sets, then
+  // timings_us. One builder keeps the three wire formats in one key
+  // order.
+  auto respond = [&](bool ok, std::int64_t execute_us, const auto& outcome) {
+    json::Value out = json::Value::Object();
+    if (!request.id.is_null()) out.Set("id", request.id);
+    out.Set("ok", json::Value::Bool(ok));
+    out.Set("dvq", json::Value::Str(query.ToString()));
+    out.Set("sql", json::Value::Str(dvq::ToSql(query)));
+    json::Value degraded = json::Value::Object();
+    degraded.Set("retuner", json::Value::Bool(trace.retune.degraded));
+    degraded.Set("debugger", json::Value::Bool(trace.debug.degraded));
+    // Typed brownout marker: present (and true) exactly when this request
+    // was admitted in degraded mode, so knobs-off responses stay
+    // byte-identical to the pre-brownout wire format.
+    if (brownout) degraded.Set("brownout", json::Value::Bool(true));
+    out.Set("degraded", std::move(degraded));
+    outcome(&out);
+    if (timed) {
+      json::Value timings = json::Value::Object();
+      timings.Set("translate_us", json::Value::Int(translate_us));
+      timings.Set("execute_us", json::Value::Int(execute_us));
+      timings.Set("total_us", json::Value::Int(ElapsedMicros(start)));
+      out.Set("timings_us", std::move(timings));
+    }
+    return out.Dump();
+  };
 
   // The request's SLO: deadline_ms/budget_rows arm a fresh ExecContext
   // for the data path (PR 4's guards — deterministic accounted ticks,
@@ -379,73 +407,43 @@ std::string Server::Process(const Request& request, bool brownout) const {
   if (options_.cost_gate && !limits.Unlimited()) {
     const std::shared_ptr<analysis::CostEstimator> estimator =
         CostEstimatorFor(&db->data);
-    Result<analysis::CostEstimate> estimate =
-        estimator->Estimate(dvq.value());
+    Result<analysis::CostEstimate> estimate = estimator->Estimate(query);
     if (estimate.ok() && estimate.value().Exceeds(limits)) {
       failed_.fetch_add(1, std::memory_order_relaxed);
       rejected_cost_.fetch_add(1, std::memory_order_relaxed);
-      out.Set("ok", json::Value::Bool(false));
-      out.Set("dvq", json::Value::Str(dvq.value().ToString()));
-      out.Set("sql", json::Value::Str(dvq::ToSql(dvq.value())));
-      json::Value degraded = json::Value::Object();
-      degraded.Set("retuner", json::Value::Bool(trace.rtn_degraded));
-      degraded.Set("debugger", json::Value::Bool(trace.dbg_degraded));
-      if (brownout) degraded.Set("brownout", json::Value::Bool(true));
-      out.Set("degraded", std::move(degraded));
-      out.Set("cost_exceeded", json::Value::Bool(true));
       const analysis::CostEstimate& cost = estimate.value();
-      json::Value priced = json::Value::Object();
-      priced.Set("ticks", json::Value::Int(
-                              static_cast<std::int64_t>(std::min<std::uint64_t>(
-                                  cost.ticks, INT64_MAX))));
-      priced.Set("rows", json::Value::Int(
-                             static_cast<std::int64_t>(std::min<std::uint64_t>(
-                                 cost.rows, INT64_MAX))));
-      priced.Set("bytes", json::Value::Int(
-                              static_cast<std::int64_t>(std::min<std::uint64_t>(
-                                  cost.bytes, INT64_MAX))));
-      priced.Set("join_rows",
-                 json::Value::Int(static_cast<std::int64_t>(
-                     std::min<std::uint64_t>(cost.join_rows, INT64_MAX))));
-      priced.Set("exceeded",
-                 json::Value::Str(cost.ExceededBudget(limits)));
-      out.Set("cost", std::move(priced));
-      out.Set("error", json::Value::Str("cost_exceeded"));
-      if (timed) {
-        json::Value timings = json::Value::Object();
-        timings.Set("translate_us", json::Value::Int(translate_us));
-        timings.Set("execute_us", json::Value::Int(0));
-        timings.Set("total_us", json::Value::Int(ElapsedMicros(start)));
-        out.Set("timings_us", std::move(timings));
-      }
-      return out.Dump();
+      return respond(false, 0, [&](json::Value* out) {
+        auto count = [](std::uint64_t n) {
+          return json::Value::Int(static_cast<std::int64_t>(
+              std::min<std::uint64_t>(n, INT64_MAX)));
+        };
+        out->Set("cost_exceeded", json::Value::Bool(true));
+        json::Value priced = json::Value::Object();
+        priced.Set("ticks", count(cost.ticks));
+        priced.Set("rows", count(cost.rows));
+        priced.Set("bytes", count(cost.bytes));
+        priced.Set("join_rows", count(cost.join_rows));
+        priced.Set("exceeded", json::Value::Str(cost.ExceededBudget(limits)));
+        out->Set("cost", std::move(priced));
+        out->Set("error", json::Value::Str("cost_exceeded"));
+      });
     }
   }
 
   ExecContext guard(limits);
   const auto execute_start = std::chrono::steady_clock::now();
-  Result<viz::Chart> chart =
-      viz::BuildChart(dvq.value(), db->data, &guard);
+  Result<viz::Chart> chart = viz::BuildChart(query, db->data, &guard);
   const std::int64_t execute_us = timed ? ElapsedMicros(execute_start) : 0;
-
-  out.Set("ok", json::Value::Bool(chart.ok()));
-  out.Set("dvq", json::Value::Str(dvq.value().ToString()));
-  out.Set("sql", json::Value::Str(dvq::ToSql(dvq.value())));
-  json::Value degraded = json::Value::Object();
-  degraded.Set("retuner", json::Value::Bool(trace.rtn_degraded));
-  degraded.Set("debugger", json::Value::Bool(trace.dbg_degraded));
-  // Typed brownout marker: present (and true) exactly when this request
-  // was admitted in degraded mode, so knobs-off responses stay
-  // byte-identical to the pre-brownout wire format.
-  if (brownout) degraded.Set("brownout", json::Value::Bool(true));
-  out.Set("degraded", std::move(degraded));
-
-  if (chart.ok()) {
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    out.Set("rows", json::Value::Int(
-                        static_cast<std::int64_t>(chart.value().data.num_rows())));
-    if (request.want_chart) out.Set("chart", viz::ToVegaLite(chart.value()));
-  } else {
+  return respond(chart.ok(), execute_us, [&](json::Value* out) {
+    if (chart.ok()) {
+      completed_.fetch_add(1, std::memory_order_relaxed);
+      out->Set("rows", json::Value::Int(static_cast<std::int64_t>(
+                           chart.value().data.num_rows())));
+      if (request.want_chart) {
+        out->Set("chart", viz::ToVegaLite(chart.value()));
+      }
+      return;
+    }
     // Translation produced a valid DVQ but the data path failed — a
     // budget trip (the SLO fired) or the paper's "no chart shown"
     // failure mode. The DVQ/SQL stay in the response: the client can
@@ -455,20 +453,11 @@ std::string Server::Process(const Request& request, bool brownout) const {
     if (status.IsResourceExhausted() ||
         status.code() == StatusCode::kCancelled) {
       resource_exhausted_.fetch_add(1, std::memory_order_relaxed);
-      out.Set("resource_exhausted", json::Value::Bool(true));
+      out->Set("resource_exhausted", json::Value::Bool(true));
     }
-    out.Set("error", json::Value::Str(status.message()));
-    out.Set("code", json::Value::Str(StatusCodeToString(status.code())));
-  }
-
-  if (timed) {
-    json::Value timings = json::Value::Object();
-    timings.Set("translate_us", json::Value::Int(translate_us));
-    timings.Set("execute_us", json::Value::Int(execute_us));
-    timings.Set("total_us", json::Value::Int(ElapsedMicros(start)));
-    out.Set("timings_us", std::move(timings));
-  }
-  return out.Dump();
+    out->Set("error", json::Value::Str(status.message()));
+    out->Set("code", json::Value::Str(StatusCodeToString(status.code())));
+  });
 }
 
 std::shared_ptr<analysis::CostEstimator> Server::CostEstimatorFor(

@@ -46,8 +46,9 @@ double EnvRateOrDie(const char* name, double fallback) {
   errno = 0;
   char* end = nullptr;
   double parsed = std::strtod(value, &end);
-  if (errno != 0 || end == value || *end != '\0' || parsed < 0.0 ||
-      parsed > 1.0) {
+  // Written as !(in range) so NaN, which fails every comparison, dies.
+  if (errno != 0 || end == value || *end != '\0' ||
+      !(parsed >= 0.0 && parsed <= 1.0)) {
     DieInvalid(name, value, "a number in [0, 1]");
   }
   return parsed;

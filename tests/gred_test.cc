@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <ostream>
 #include <thread>
 
 #include "analysis/analyzer.h"
@@ -14,8 +15,25 @@
 #include "llm/prompt.h"
 #include "llm/resilient.h"
 #include "llm/sim_llm.h"
+#include "util/rng.h"
 
 namespace gred::core {
+
+// Readable gtest failure output for trace comparisons (found by ADL).
+void PrintTo(const Gred::StageTrace& stage, std::ostream* os) {
+  *os << "{dvq=\"" << stage.dvq << "\" degraded=" << stage.degraded
+      << " lint_rejected=" << stage.lint_rejected
+      << " repaired=" << stage.repaired << "}";
+}
+
+void PrintTo(const Gred::Trace& trace, std::ostream* os) {
+  *os << "{dvq_gen=\"" << trace.dvq_gen << "\" retune=";
+  PrintTo(trace.retune, os);
+  *os << " debug=";
+  PrintTo(trace.debug, os);
+  *os << "}";
+}
+
 namespace {
 
 class GredFixture : public ::testing::Test {
@@ -64,11 +82,15 @@ TEST_F(GredFixture, TranslatesCleanExample) {
   Gred model(corpus_, llm_);
   const dataset::Example& ex = suite_->test_clean[0];
   const dataset::GeneratedDatabase* db = suite_->FindCleanDb(ex.db_name);
-  Result<dvq::DVQ> out = model.Translate(ex.nlq, db->data);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_FALSE(model.last_trace().dvq_gen.empty());
-  EXPECT_FALSE(model.last_trace().dvq_rtn.empty());
-  EXPECT_FALSE(model.last_trace().dvq_dbg.empty());
+  Gred::Translation out = model.Run(ex.nlq, db->data);
+  ASSERT_TRUE(out.dvq.ok()) << out.dvq.status().ToString();
+  EXPECT_FALSE(out.trace.dvq_gen.empty());
+  EXPECT_FALSE(out.trace.retune.dvq.empty());
+  EXPECT_FALSE(out.trace.debug.dvq.empty());
+  // The one-line Translate override returns exactly Run's DVQ.
+  Result<dvq::DVQ> translated = model.Translate(ex.nlq, db->data);
+  ASSERT_TRUE(translated.ok());
+  EXPECT_EQ(translated.value().ToString(), out.dvq.value().ToString());
 }
 
 TEST_F(GredFixture, AblationSwitchesSkipStages) {
@@ -80,11 +102,12 @@ TEST_F(GredFixture, AblationSwitchesSkipStages) {
   EXPECT_EQ(model.name(), "GRED w/o RTN&DBG");
   const dataset::Example& ex = suite_->test_clean[1];
   const dataset::GeneratedDatabase* db = suite_->FindCleanDb(ex.db_name);
-  Result<dvq::DVQ> out = model.Translate(ex.nlq, db->data);
-  ASSERT_TRUE(out.ok());
-  EXPECT_FALSE(model.last_trace().dvq_gen.empty());
-  EXPECT_TRUE(model.last_trace().dvq_rtn.empty());
-  EXPECT_TRUE(model.last_trace().dvq_dbg.empty());
+  Gred::Translation out = model.Run(ex.nlq, db->data);
+  ASSERT_TRUE(out.dvq.ok());
+  EXPECT_FALSE(out.trace.dvq_gen.empty());
+  // Skipped stages leave an all-default StageTrace (not degraded).
+  EXPECT_EQ(out.trace.retune, Gred::StageTrace{});
+  EXPECT_EQ(out.trace.debug, Gred::StageTrace{});
 }
 
 TEST_F(GredFixture, DebuggerRecoversRenamedSchema) {
@@ -113,9 +136,9 @@ TEST_F(GredFixture, DebuggerWithoutAnnotationsStillRuns) {
   Gred model(corpus_, llm_, config);
   const dataset::Example& ex = suite_->test_schema[0];
   const dataset::GeneratedDatabase* db = suite_->FindRobDb(ex.db_name);
-  Result<dvq::DVQ> out = model.Translate(ex.nlq, db->data);
-  EXPECT_TRUE(out.ok());
-  EXPECT_FALSE(model.last_trace().dvq_dbg.empty());
+  Gred::Translation out = model.Run(ex.nlq, db->data);
+  EXPECT_TRUE(out.dvq.ok());
+  EXPECT_FALSE(out.trace.debug.dvq.empty());
 }
 
 TEST_F(GredFixture, DeterministicTranslations) {
@@ -238,13 +261,14 @@ TEST_F(GredFixture, DegradedRetunerFallsBackToGeneratorDvq) {
   Gred reference(corpus_, llm_, no_rtn);
   const dataset::Example& ex = suite_->test_clean[0];
   const dataset::GeneratedDatabase* db = suite_->FindCleanDb(ex.db_name);
-  Result<dvq::DVQ> out = model.Translate(ex.nlq, db->data);
+  Gred::Translation run = model.Run(ex.nlq, db->data);
+  const Result<dvq::DVQ>& out = run.dvq;
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  Gred::Trace trace = model.last_trace();
+  const Gred::Trace& trace = run.trace;
   EXPECT_FALSE(trace.dvq_gen.empty());
-  EXPECT_TRUE(trace.dvq_rtn.empty());  // the stage produced nothing
-  EXPECT_TRUE(trace.rtn_degraded);
-  EXPECT_FALSE(trace.dbg_degraded);
+  EXPECT_TRUE(trace.retune.dvq.empty());  // the stage produced nothing
+  EXPECT_TRUE(trace.retune.degraded);
+  EXPECT_FALSE(trace.debug.degraded);
   EXPECT_EQ(model.stage_stats().retune_degraded, 1u);
   // The degraded pipeline behaves exactly like one with no retuner.
   Result<dvq::DVQ> expected = reference.Translate(ex.nlq, db->data);
@@ -257,16 +281,17 @@ TEST_F(GredFixture, DegradedDebuggerFallsBackToRetunerDvq) {
   Gred model(corpus_, &failing);
   const dataset::Example& ex = suite_->test_clean[1];
   const dataset::GeneratedDatabase* db = suite_->FindCleanDb(ex.db_name);
-  Result<dvq::DVQ> out = model.Translate(ex.nlq, db->data);
+  Gred::Translation run = model.Run(ex.nlq, db->data);
+  const Result<dvq::DVQ>& out = run.dvq;
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  Gred::Trace trace = model.last_trace();
-  EXPECT_FALSE(trace.dvq_rtn.empty());
-  EXPECT_TRUE(trace.dvq_dbg.empty());
-  EXPECT_FALSE(trace.rtn_degraded);
-  EXPECT_TRUE(trace.dbg_degraded);
+  const Gred::Trace& trace = run.trace;
+  EXPECT_FALSE(trace.retune.dvq.empty());
+  EXPECT_TRUE(trace.debug.dvq.empty());
+  EXPECT_FALSE(trace.retune.degraded);
+  EXPECT_TRUE(trace.debug.degraded);
   EXPECT_EQ(model.stage_stats().debug_degraded, 1u);
   // The returned DVQ is the retuner's output, parsed.
-  Result<dvq::DVQ> retuned = dvq::Parse(trace.dvq_rtn);
+  Result<dvq::DVQ> retuned = dvq::Parse(trace.retune.dvq);
   ASSERT_TRUE(retuned.ok());
   EXPECT_EQ(out.value().ToString(), retuned.value().ToString());
 }
@@ -276,11 +301,12 @@ TEST_F(GredFixture, DegradedAnnotationFailureSkipsDebugger) {
   Gred model(corpus_, &failing);
   const dataset::Example& ex = suite_->test_schema[0];
   const dataset::GeneratedDatabase* db = suite_->FindRobDb(ex.db_name);
-  Result<dvq::DVQ> out = model.Translate(ex.nlq, db->data);
+  Gred::Translation run = model.Run(ex.nlq, db->data);
+  const Result<dvq::DVQ>& out = run.dvq;
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  Gred::Trace trace = model.last_trace();
-  EXPECT_TRUE(trace.dvq_dbg.empty());
-  EXPECT_TRUE(trace.dbg_degraded);
+  const Gred::Trace& trace = run.trace;
+  EXPECT_TRUE(trace.debug.dvq.empty());
+  EXPECT_TRUE(trace.debug.degraded);
   EXPECT_EQ(model.stage_stats().debug_degraded, 1u);
   // Annotation failures are excluded from the PrepareAnnotations count.
   Result<std::size_t> prepared = model.PrepareAnnotations(suite_->databases);
@@ -290,19 +316,20 @@ TEST_F(GredFixture, DegradedAnnotationFailureSkipsDebugger) {
 
 TEST_F(GredFixture, DegradedTraceNeverClaimsCarriedForwardOutput) {
   // A retuner completion with no extractable DVQ must not be recorded as
-  // the stage's output (the old trace reported the generator's DVQ as
-  // dvq_rtn); it leaves the trace empty and marks the stage degraded.
+  // the stage's output (the carried-forward generator DVQ is not the
+  // retuner's); it leaves the stage's dvq empty and marks it degraded.
   AnswerMatchingChatModel refusing(llm_, kRetuneNeedle,
                                    "I cannot help with that request.");
   Gred model(corpus_, &refusing);
   const dataset::Example& ex = suite_->test_clean[2];
   const dataset::GeneratedDatabase* db = suite_->FindCleanDb(ex.db_name);
-  Result<dvq::DVQ> out = model.Translate(ex.nlq, db->data);
+  Gred::Translation run = model.Run(ex.nlq, db->data);
+  const Result<dvq::DVQ>& out = run.dvq;
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  Gred::Trace trace = model.last_trace();
+  const Gred::Trace& trace = run.trace;
   EXPECT_FALSE(trace.dvq_gen.empty());
-  EXPECT_TRUE(trace.dvq_rtn.empty());
-  EXPECT_TRUE(trace.rtn_degraded);
+  EXPECT_TRUE(trace.retune.dvq.empty());
+  EXPECT_TRUE(trace.retune.degraded);
 }
 
 TEST_F(GredFixture, GeneratorFailureSurfacesError) {
@@ -324,11 +351,12 @@ TEST_F(GredFixture, RetryRecoversDegradableStage) {
   Gred model(corpus_, &retrying);
   const dataset::Example& ex = suite_->test_clean[0];
   const dataset::GeneratedDatabase* db = suite_->FindCleanDb(ex.db_name);
-  Result<dvq::DVQ> out = model.Translate(ex.nlq, db->data);
+  Gred::Translation run = model.Run(ex.nlq, db->data);
+  const Result<dvq::DVQ>& out = run.dvq;
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  Gred::Trace trace = model.last_trace();
-  EXPECT_FALSE(trace.rtn_degraded);
-  EXPECT_FALSE(trace.dvq_rtn.empty());
+  const Gred::Trace& trace = run.trace;
+  EXPECT_FALSE(trace.retune.degraded);
+  EXPECT_FALSE(trace.retune.dvq.empty());
   EXPECT_EQ(model.stage_stats().retune_degraded, 0u);
   EXPECT_EQ(retrying.stats().retries, 1u);
 }
@@ -377,6 +405,83 @@ TEST_F(GredFixture, DegradedFaultInjectedRunsAreThreadCountInvariant) {
   EXPECT_EQ(serial, parallel);
 }
 
+/// Stateless fault injection: a prompt's fate is a function of its text
+/// alone (fail, truncate, or pass through), so the same prompt gets the
+/// same answer in any interleaving — unlike llm::FaultInjectingChatModel,
+/// whose per-prompt attempt counter makes repeats order-dependent.
+class HashFaultChatModel : public llm::ChatModel {
+ public:
+  explicit HashFaultChatModel(const llm::ChatModel* inner) : inner_(inner) {}
+
+  Result<std::string> Complete(
+      const llm::Prompt& prompt,
+      const llm::ChatOptions& options) const override {
+    const std::uint64_t h = Fnv1a64(llm::RenderPrompt(prompt));
+    if (h % 5 == 0) return Status::Unavailable("injected");
+    Result<std::string> out = inner_->Complete(prompt, options);
+    if (out.ok() && h % 5 == 1) {
+      return out.value().substr(0, out.value().size() / 2);  // truncated
+    }
+    return out;
+  }
+
+ private:
+  const llm::ChatModel* inner_;
+};
+
+TEST_F(GredFixture, ConcurrentRunsReturnTheirOwnTrace) {
+  // Eight threads translate different examples through one Gred; every
+  // call's trace must equal the serial run's trace for that example,
+  // field for field. Lint + repair on renamed schemas exercise the
+  // lint_rejected / repaired flags too.
+  GredConfig config;
+  config.enable_lint = true;
+  config.enable_repair = true;
+  HashFaultChatModel faulty(llm_);
+  const std::size_t n = std::min<std::size_t>(32, suite_->test_both.size());
+  auto run = [&](std::size_t threads) {
+    Gred model(corpus_, &faulty, config);
+    std::vector<Gred::Translation> out(n, {Status::Internal("not run"), {}});
+    auto translate = [&](std::size_t i) {
+      const dataset::Example& ex = suite_->test_both[i];
+      out[i] = model.Run(ex.nlq, suite_->FindRobDb(ex.db_name)->data);
+    };
+    std::vector<std::thread> workers;
+    for (std::size_t t = 0; t < threads; ++t) {
+      workers.emplace_back([&, t] {
+        for (std::size_t i = t; i < n; i += threads) translate(i);
+      });
+    }
+    for (std::thread& w : workers) w.join();
+    return out;
+  };
+  std::vector<Gred::Translation> serial = run(1);
+  std::vector<Gred::Translation> parallel = run(8);
+  std::size_t degraded = 0;
+  std::size_t accepted = 0;
+  std::size_t linted = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(parallel[i].trace, serial[i].trace);
+    EXPECT_EQ(parallel[i].dvq.status().ToString(),
+              serial[i].dvq.status().ToString());
+    if (serial[i].dvq.ok() && parallel[i].dvq.ok()) {
+      EXPECT_EQ(parallel[i].dvq.value().ToString(),
+                serial[i].dvq.value().ToString());
+    }
+    for (const Gred::StageTrace* stage :
+         {&serial[i].trace.retune, &serial[i].trace.debug}) {
+      degraded += stage->degraded;
+      accepted += !stage->dvq.empty();
+      linted += stage->lint_rejected || stage->repaired;
+    }
+  }
+  // The faults and the lint gate must actually bite, and not everywhere.
+  EXPECT_GT(degraded, 0u);
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(linted, 0u);
+}
+
 TEST_F(GredFixture, RepairGateRescuesLintRejectedRetunerCandidate) {
   // Find a clean example whose DVQ, with one select column misspelled,
   // lints broken but repairs back to error-free — the candidate shape
@@ -417,31 +522,31 @@ TEST_F(GredFixture, RepairGateRescuesLintRejectedRetunerCandidate) {
   GredConfig lint_only;
   lint_only.enable_lint = true;
   Gred linted(corpus_, &broken_retuner, lint_only);
-  Result<dvq::DVQ> rejected = linted.Translate(example->nlq, db->data);
-  ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
-  Gred::Trace lint_trace = linted.last_trace();
-  EXPECT_TRUE(lint_trace.rtn_lint_rejected);
-  EXPECT_TRUE(lint_trace.rtn_degraded);
-  EXPECT_FALSE(lint_trace.rtn_repaired);
+  Gred::Translation rejected = linted.Run(example->nlq, db->data);
+  ASSERT_TRUE(rejected.dvq.ok()) << rejected.dvq.status().ToString();
+  const Gred::Trace& lint_trace = rejected.trace;
+  EXPECT_TRUE(lint_trace.retune.lint_rejected);
+  EXPECT_TRUE(lint_trace.retune.degraded);
+  EXPECT_FALSE(lint_trace.retune.repaired);
   EXPECT_EQ(linted.stage_stats().retune_lint_trips, 1u);
   EXPECT_EQ(linted.stage_stats().retune_repairs, 0u);
 
   GredConfig with_repair = lint_only;
   with_repair.enable_repair = true;
   Gred repairing(corpus_, &broken_retuner, with_repair);
-  Result<dvq::DVQ> rescued = repairing.Translate(example->nlq, db->data);
-  ASSERT_TRUE(rescued.ok()) << rescued.status().ToString();
-  Gred::Trace trace = repairing.last_trace();
-  EXPECT_TRUE(trace.rtn_repaired);
-  EXPECT_FALSE(trace.rtn_lint_rejected);
-  EXPECT_FALSE(trace.rtn_degraded);
+  Gred::Translation rescued = repairing.Run(example->nlq, db->data);
+  ASSERT_TRUE(rescued.dvq.ok()) << rescued.dvq.status().ToString();
+  const Gred::Trace& trace = rescued.trace;
+  EXPECT_TRUE(trace.retune.repaired);
+  EXPECT_FALSE(trace.retune.lint_rejected);
+  EXPECT_FALSE(trace.retune.degraded);
   EXPECT_EQ(repairing.stage_stats().retune_repairs, 1u);
   EXPECT_EQ(repairing.stage_stats().retune_lint_trips, 0u);
   // The accepted retuner DVQ is the repaired candidate: not the broken
   // text, and error-free against the schema.
-  EXPECT_FALSE(trace.dvq_rtn.empty());
-  EXPECT_NE(trace.dvq_rtn, broken_text);
-  Result<dvq::DVQ> accepted = dvq::Parse(trace.dvq_rtn);
+  EXPECT_FALSE(trace.retune.dvq.empty());
+  EXPECT_NE(trace.retune.dvq, broken_text);
+  Result<dvq::DVQ> accepted = dvq::Parse(trace.retune.dvq);
   ASSERT_TRUE(accepted.ok());
   analysis::DvqAnalyzer analyzer(&db->data.db_schema());
   EXPECT_FALSE(analysis::HasErrors(analyzer.Analyze(accepted.value())));

@@ -4,9 +4,9 @@
 // (scalar, portable, avx2, neon) computes the scalar reference
 // DotBlocked's exact arithmetic DAG, so Dot() returns bit-identical
 // doubles no matter which target the CPU selects — retrieval results
-// cannot change across machines or GRED_DOT_TARGET overrides. The
-// integer code kernel (DotCodes) is exact by construction and must
-// match a naive int64 sum on every target. The concurrent hammer runs
+// cannot change across machines. The integer code kernel (DotCodes) is
+// exact by construction and must match a naive int64 sum on every
+// target. The concurrent hammer runs
 // under TSan via scripts/tier1.sh: the one-time target resolution and
 // concurrent Dot() calls must be race-free.
 
@@ -42,7 +42,7 @@ TEST(KernelDispatch, ScalarTargetAlwaysSupported) {
   // The active target must be one of the supported ones.
   EXPECT_NE(std::find(targets.begin(), targets.end(), ActiveDotTarget()),
             targets.end());
-  // Names are distinct and stable (they key GRED_DOT_TARGET).
+  // Names are distinct and stable (they key benchmark reports).
   std::set<std::string> names;
   for (DotTarget target : targets) names.insert(DotTargetName(target));
   EXPECT_EQ(names.size(), targets.size());

@@ -477,6 +477,29 @@ TEST_F(ServeFixture, RowBudgetTripsAreTypedAndKeepTheDvq) {
   FAIL() << "no test example produced a successful multi-row chart";
 }
 
+/// Keys of a compact JSON object's outermost level, in wire order
+/// (json::Value offers lookup by key, not member order).
+std::vector<std::string> TopLevelKeys(const std::string& text) {
+  std::vector<std::string> keys;
+  int depth = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (c == '"') {
+      std::size_t end = i + 1;
+      while (text[end] != '"') end += text[end] == '\\' ? 2 : 1;
+      if (depth == 1 && end + 1 < text.size() && text[end + 1] == ':') {
+        keys.push_back(text.substr(i + 1, end - i - 1));
+      }
+      i = end;
+    } else if (c == '{' || c == '[') {
+      ++depth;
+    } else if (c == '}' || c == ']') {
+      --depth;
+    }
+  }
+  return keys;
+}
+
 TEST_F(ServeFixture, CostGateRejectsOverBudgetQueryBeforeExecution) {
   ServerOptions options;
   options.num_workers = 1;
@@ -492,10 +515,18 @@ TEST_F(ServeFixture, CostGateRejectsOverBudgetQueryBeforeExecution) {
         RequestLine(static_cast<int>(i), suite_->test_clean[i]);
     // Unlimited requests never gate: byte-identical to a gate-off server.
     ASSERT_EQ(server.Handle(line), plain.Handle(line));
-    json::ParseResult ok_reply = json::Parse(server.Handle(line));
+    const std::string ok_text = server.Handle(line);
+    json::ParseResult ok_reply = json::Parse(ok_text);
     ASSERT_TRUE(ok_reply.ok());
     if (!ok_reply.value().Find("ok")->bool_value()) continue;
     if (ok_reply.value().Find("rows")->number_value() < 2) continue;
+    // The three translated-reply shapes share one head and key order;
+    // this pins the wire format (chart, ok and cost-gate paths).
+    using Keys = std::vector<std::string>;
+    EXPECT_EQ(TopLevelKeys(ok_text),
+              (Keys{"id", "ok", "dvq", "sql", "degraded", "rows", "chart"}));
+    EXPECT_EQ(TopLevelKeys(ok_reply.value().Find("degraded")->Dump()),
+              (Keys{"retuner", "debugger"}));
 
     // A one-row budget is provably too small (the estimate bounds at
     // least the scan's materialized rows), so the gate must fire —
@@ -506,9 +537,15 @@ TEST_F(ServeFixture, CostGateRejectsOverBudgetQueryBeforeExecution) {
     obj.Set("nlq", json::Value::Str(suite_->test_clean[i].nlq));
     obj.Set("db", json::Value::Str(suite_->test_clean[i].db_name));
     obj.Set("budget_rows", json::Value::Int(1));
-    json::ParseResult gated = json::Parse(server.Handle(obj.Dump()));
+    const std::string gated_text = server.Handle(obj.Dump());
+    json::ParseResult gated = json::Parse(gated_text);
     ASSERT_TRUE(gated.ok());
     const json::Value& reply = gated.value();
+    EXPECT_EQ(TopLevelKeys(gated_text),
+              (Keys{"id", "ok", "dvq", "sql", "degraded", "cost_exceeded",
+                    "cost", "error"}));
+    EXPECT_EQ(TopLevelKeys(reply.Find("cost")->Dump()),
+              (Keys{"ticks", "rows", "bytes", "join_rows", "exceeded"}));
     EXPECT_FALSE(reply.Find("ok")->bool_value());
     ASSERT_NE(reply.Find("error"), nullptr);
     EXPECT_EQ(reply.Find("error")->string_value(), "cost_exceeded");
@@ -533,8 +570,12 @@ TEST_F(ServeFixture, CostGateRejectsOverBudgetQueryBeforeExecution) {
 
     // The same request without the gate runs the executor and trips at
     // runtime instead — the slow failure the gate pre-empts.
-    json::ParseResult runtime = json::Parse(plain.Handle(obj.Dump()));
+    const std::string runtime_text = plain.Handle(obj.Dump());
+    json::ParseResult runtime = json::Parse(runtime_text);
     ASSERT_TRUE(runtime.ok());
+    EXPECT_EQ(TopLevelKeys(runtime_text),
+              (Keys{"id", "ok", "dvq", "sql", "degraded",
+                    "resource_exhausted", "error", "code"}));
     EXPECT_FALSE(runtime.value().Find("ok")->bool_value());
     ASSERT_NE(runtime.value().Find("resource_exhausted"), nullptr);
     EXPECT_EQ(plain.stats().rejected_cost, 0u);

@@ -1,9 +1,12 @@
-// Unit tests for the util substrate: strings, rng, json, status, tables.
+// Unit tests for the util substrate: strings, rng, json, status, tables,
+// strict env readers.
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 
+#include "util/env.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -367,6 +370,109 @@ TEST(ParsePositiveSize, RejectsEverythingElse) {
   // Overflows std::size_t on every platform we build for.
   EXPECT_EQ(strings::ParsePositiveSize("99999999999999999999999999"),
             std::nullopt);
+}
+
+constexpr char kEnvVar[] = "GRED_UTIL_TEST_ENV";
+
+/// Sets kEnvVar for one scope (nullptr leaves it unset), then unsets it.
+class ScopedEnv {
+ public:
+  explicit ScopedEnv(const char* value) {
+    if (value == nullptr) {
+      unsetenv(kEnvVar);
+    } else {
+      setenv(kEnvVar, value, /*overwrite=*/1);
+    }
+  }
+  ~ScopedEnv() { unsetenv(kEnvVar); }
+};
+
+TEST(Env, UnsetReturnsFallback) {
+  ScopedEnv env(nullptr);
+  EXPECT_EQ(EnvSizeOrDie(kEnvVar, 7), 7u);
+  EXPECT_EQ(EnvCountOrDie(kEnvVar, 9), 9u);
+  EXPECT_EQ(EnvRateOrDie(kEnvVar, 0.25), 0.25);
+  EXPECT_TRUE(EnvFlagOrDie(kEnvVar, true));
+  EXPECT_FALSE(EnvFlagOrDie(kEnvVar, false));
+}
+
+TEST(Env, SizeAcceptsPositiveIntegers) {
+  for (auto [text, value] : {std::pair<const char*, std::size_t>{"1", 1},
+                             {"42", 42},
+                             {" 8 ", 8},
+                             {"007", 7}}) {
+    ScopedEnv env(text);
+    EXPECT_EQ(EnvSizeOrDie(kEnvVar, 3), value) << text;
+  }
+}
+
+TEST(Env, CountAcceptsZeroAndPositiveIntegers) {
+  for (auto [text, value] : {std::pair<const char*, std::uint64_t>{"0", 0},
+                             {"5", 5},
+                             {"100000", 100000}}) {
+    ScopedEnv env(text);
+    EXPECT_EQ(EnvCountOrDie(kEnvVar, 3), value) << text;
+  }
+}
+
+TEST(Env, RateAcceptsTheUnitInterval) {
+  for (auto [text, value] : {std::pair<const char*, double>{"0", 0.0},
+                             {"1", 1.0},
+                             {"0.25", 0.25},
+                             {"1e-1", 0.1}}) {
+    ScopedEnv env(text);
+    EXPECT_EQ(EnvRateOrDie(kEnvVar, 0.5), value) << text;
+  }
+}
+
+TEST(Env, FlagAcceptsZeroAndOne) {
+  {
+    ScopedEnv env("0");
+    EXPECT_FALSE(EnvFlagOrDie(kEnvVar, true));
+  }
+  ScopedEnv env("1");
+  EXPECT_TRUE(EnvFlagOrDie(kEnvVar, false));
+}
+
+// A set variable that does not parse — empty included — exits(2) with
+// the variable named on stderr, for every reader.
+TEST(EnvDeathTest, SizeRejectsZeroSignsGarbageAndEmpty) {
+  for (const char* bad : {"0", "-3", "+3", "3.5", "12abc", "", "   ",
+                          "99999999999999999999999999"}) {
+    ScopedEnv env(bad);
+    EXPECT_EXIT(EnvSizeOrDie(kEnvVar, 1), ::testing::ExitedWithCode(2),
+                "invalid GRED_UTIL_TEST_ENV")
+        << "'" << bad << "'";
+  }
+}
+
+TEST(EnvDeathTest, CountRejectsSignsGarbageAndEmpty) {
+  for (const char* bad : {"-1", "1.5", "abc", "", "00x",
+                          "99999999999999999999999999"}) {
+    ScopedEnv env(bad);
+    EXPECT_EXIT(EnvCountOrDie(kEnvVar, 1), ::testing::ExitedWithCode(2),
+                "invalid GRED_UTIL_TEST_ENV")
+        << "'" << bad << "'";
+  }
+}
+
+TEST(EnvDeathTest, RateRejectsOutOfRangeGarbageAndEmpty) {
+  for (const char* bad :
+       {"-0.1", "1.5", "inf", "nan", "abc", "0.5x", "", "1e999"}) {
+    ScopedEnv env(bad);
+    EXPECT_EXIT(EnvRateOrDie(kEnvVar, 0.0), ::testing::ExitedWithCode(2),
+                "invalid GRED_UTIL_TEST_ENV")
+        << "'" << bad << "'";
+  }
+}
+
+TEST(EnvDeathTest, FlagRejectsAnythingButZeroOrOne) {
+  for (const char* bad : {"2", "true", "yes", "01", "", " 1"}) {
+    ScopedEnv env(bad);
+    EXPECT_EXIT(EnvFlagOrDie(kEnvVar, false), ::testing::ExitedWithCode(2),
+                "invalid GRED_UTIL_TEST_ENV")
+        << "'" << bad << "'";
+  }
 }
 
 }  // namespace

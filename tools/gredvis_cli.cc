@@ -167,23 +167,24 @@ int CmdTranslate(const std::string& db_name, const std::string& question) {
   corpus.train = &suite.train;
   corpus.databases = &suite.databases;
   core::Gred gred(corpus, chat);
-  Result<dvq::DVQ> dvq = gred.Translate(question, db->data);
-  if (!dvq.ok()) {
+  const core::Gred::Translation translation = gred.Run(question, db->data);
+  const core::Gred::Trace& trace = translation.trace;
+  if (!translation.dvq.ok()) {
     std::fprintf(stderr, "translation failed: %s\n",
-                 dvq.status().ToString().c_str());
+                 translation.dvq.status().ToString().c_str());
     return 1;
   }
-  core::Gred::Trace trace = gred.last_trace();
   std::fprintf(stderr, "[gredvis] generator: %s\n", trace.dvq_gen.c_str());
   std::fprintf(stderr, "[gredvis] retuner:   %s\n",
-               trace.rtn_degraded ? "(degraded; generator DVQ kept)"
-                                  : trace.dvq_rtn.c_str());
+               trace.retune.degraded ? "(degraded; generator DVQ kept)"
+                                     : trace.retune.dvq.c_str());
   std::fprintf(stderr, "[gredvis] debugger:  %s\n",
-               trace.dbg_degraded ? "(degraded; previous DVQ kept)"
-                                  : trace.dvq_dbg.c_str());
-  std::printf("DVQ: %s\n", dvq.value().ToString().c_str());
-  std::printf("SQL: %s\n", dvq::ToSql(dvq.value()).c_str());
-  Result<viz::Chart> chart = viz::BuildChart(dvq.value(), db->data);
+               trace.debug.degraded ? "(degraded; previous DVQ kept)"
+                                    : trace.debug.dvq.c_str());
+  const dvq::DVQ& dvq = translation.dvq.value();
+  std::printf("DVQ: %s\n", dvq.ToString().c_str());
+  std::printf("SQL: %s\n", dvq::ToSql(dvq).c_str());
+  Result<viz::Chart> chart = viz::BuildChart(dvq, db->data);
   if (!chart.ok()) {
     std::printf("no chart produced: %s\n",
                 chart.status().ToString().c_str());
