@@ -1,5 +1,6 @@
 // Retrieval-at-scale sweep: the recall@k-vs-latency frontier of the
-// three retrieval backends (exact float scan, int8 quantized scan with
+// three retrieval backends (the exact backend serving uses — a sealed
+// bound-pruned posting-list RetrievalIndex —, int8 quantized scan with
 // exact re-rank, IVF multi-probe) over a procedurally grown NLQ library.
 //
 // The library is generated with the benchmark's own NLQ machinery
@@ -8,8 +9,10 @@
 // serves — nvBench-register and nvBench-Rob-register questions — just
 // at 10^5-10^6 scale instead of nvBench's few thousand.
 //
-// Per sweep point: recall@k against the exact scan's ground truth,
-// per-query latency (mean/p50/p95) and speedup over exact. The IVF
+// Per sweep point: recall@k against the exact backend's ground truth,
+// per-query latency (mean/p50/p95) and speedup over exact. The exact
+// backend's hits must equal the dense VectorStore::TopK scan's bit for
+// bit on every query; the sweep exits 1 if any differs. The IVF
 // frontier is walked by probe count over one build (lists are
 // probe-count independent), so the sweep isolates search cost from
 // training cost. Build costs (embedding, IVF training) are reported
@@ -29,6 +32,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -40,6 +44,7 @@
 #include "embed/ann_index.h"
 #include "embed/embedder.h"
 #include "embed/kernel.h"
+#include "embed/retrieval_index.h"
 #include "embed/vector_store.h"
 #include "nl/lexicon.h"
 #include "util/env.h"
@@ -93,6 +98,19 @@ double Recall(const std::vector<gred::embed::Hit>& truth,
   return static_cast<double>(hits) / static_cast<double>(truth.size());
 }
 
+/// Same indexes, same order, same score bits.
+bool SameHits(const std::vector<gred::embed::Hit>& a,
+              const std::vector<gred::embed::Hit>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].index != b[i].index ||
+        std::memcmp(&a[i].score, &b[i].score, sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 int main() {
@@ -139,11 +157,17 @@ int main() {
   const double embed_s = Seconds(embed_start);
 
   // --- Index builds ------------------------------------------------------
-  embed::VectorStore exact;
+  const auto exact_start = std::chrono::steady_clock::now();
+  embed::RetrievalIndex exact;  // default config: the exact backend
   for (const embed::Vector& v : vectors) exact.Add(v);
+  exact.Seal();
+  const double exact_s = Seconds(exact_start);
 
+  // The dense store: the bit-identity oracle and the quantized backend.
+  embed::VectorStore dense;
+  for (const embed::Vector& v : vectors) dense.Add(v);
   const auto quantize_start = std::chrono::steady_clock::now();
-  exact.EnsureQuantized();
+  dense.EnsureQuantized();
   const double quantize_s = Seconds(quantize_start);
 
   embed::IvfIndex::Options ivf_options;
@@ -157,7 +181,7 @@ int main() {
 
   // --- Sweep -------------------------------------------------------------
   const std::size_t rerank_shortlist = embed::ShortlistSize(
-      k, exact.size(), /*factor=*/4, /*slack=*/32);
+      k, dense.size(), /*factor=*/4, /*slack=*/32);
 
   std::vector<std::vector<embed::Hit>> truth(queries.size());
   std::vector<SweepPoint> frontier;
@@ -195,8 +219,19 @@ int main() {
   run_point("exact", 0, [&](const embed::Vector& q) {
     return exact.TopK(q, k);
   });
+  std::size_t mismatched = 0;
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    if (!SameHits(truth[qi], dense.TopK(queries[qi], k))) ++mismatched;
+  }
+  if (mismatched > 0) {
+    std::fprintf(stderr,
+                 "[bench] FAIL: %zu of %zu queries: exact backend hits "
+                 "differ from the dense scan\n",
+                 mismatched, queries.size());
+    return 1;
+  }
   run_point("quantized", 0, [&](const embed::Vector& q) {
-    return exact.TopKQuantized(q, k, rerank_shortlist);
+    return dense.TopKQuantized(q, k, rerank_shortlist);
   });
 
   std::vector<std::size_t> probe_sweep = {1, 2, 4, 8, 16};
@@ -233,9 +268,10 @@ int main() {
               library.size(), queries.size(), k, dim);
   std::printf("%s", table.ToString().c_str());
   std::printf(
-      "build: corpus %.2f s, embed %.2f s, quantize %.3f s, "
-      "ivf train %.2f s (%zu clusters)\n",
-      corpus_s, embed_s, quantize_s, ivf_build_s, ivf.num_clusters());
+      "build: corpus %.2f s, embed %.2f s, exact index %.3f s, "
+      "quantize %.3f s, ivf train %.2f s (%zu clusters)\n",
+      corpus_s, embed_s, exact_s, quantize_s, ivf_build_s,
+      ivf.num_clusters());
 
   if (const char* out_path = std::getenv("GRED_RETRIEVAL_JSON")) {
     Value report = Value::Object();
@@ -250,6 +286,7 @@ int main() {
     Value build = Value::Object();
     build.Set("corpus_s", Value::Number(corpus_s));
     build.Set("embed_s", Value::Number(embed_s));
+    build.Set("exact_index_s", Value::Number(exact_s));
     build.Set("quantize_s", Value::Number(quantize_s));
     build.Set("ivf_train_s", Value::Number(ivf_build_s));
     build.Set("ivf_clusters",

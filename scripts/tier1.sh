@@ -4,7 +4,7 @@
 # concurrency-sensitive tests (the parallel eval harness, the thread
 # pool, GRED's mutex-guarded annotation cache and per-call traces, the
 # sharded embedding cache, the exact retrieval backend's per-thread
-# accumulators, and the fault-tolerance layer, whose retry + degradation
+# row scratch, and the fault-tolerance layer, whose retry + degradation
 # paths exercise the annotation cache and stage timers concurrently).
 set -euo pipefail
 
@@ -140,6 +140,8 @@ TSAN_OPTIONS="halt_on_error=1" "$ROOT/build-tsan/tests/llm_test" \
   --gtest_filter='Resilient.*'
 TSAN_OPTIONS="halt_on_error=1" "$ROOT/build-tsan/tests/gred_test" \
   --gtest_filter='*Degraded*:*RetryRecovers*:*GeneratorFailure*:*ConcurrentRuns*'
+# RetrievalIndexFacade.* includes both exact-backend TopK hammers, one
+# over a sealed real NLQ library.
 TSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-tsan/tests/retrieval_equivalence_test" \
   --gtest_filter='CachingEmbedder.*:RetrievalIndexFacade.*'
@@ -211,8 +213,9 @@ ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-asan/tests/exec_reference_test"
 # ANN differential smoke: the int8 quantized scan (aligned code buffers,
 # pointer-stride arithmetic) and the IVF probe path against the exact
-# store, plus the RetrievalIndex facade and the posting-list walk (minus
-# its full-corpus replay), under ASan+UBSan — an overread in a SIMD tail,
+# store, plus the RetrievalIndex facade and the bound-pruned posting-list
+# search with its CSR rescore (minus its full-corpus replay), under
+# ASan+UBSan — an overread in a SIMD tail,
 # a stride miscalculation or a stray accumulator index fails here, not
 # in prod.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \

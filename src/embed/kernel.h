@@ -130,6 +130,9 @@ class TopKSelector {
     std::push_heap(heap_.begin(), heap_.end(), HitBetter);
   }
 
+  /// The worst selected hit so far; the selector must not be empty.
+  const Hit& Worst() const { return heap_.front(); }
+
   /// Extracts the selected hits, best first. Leaves the selector empty.
   std::vector<Hit> Take() {
     std::sort(heap_.begin(), heap_.end(), HitBetter);

@@ -73,6 +73,7 @@ std::size_t RetrievalIndex::Add(Vector v) {
 void RetrievalIndex::Seal() {
   switch (config_.backend) {
     case RetrievalBackend::kExact:
+      postings_.Seal();
       break;
     case RetrievalBackend::kQuantized:
       store_.EnsureQuantized();

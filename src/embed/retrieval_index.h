@@ -15,7 +15,7 @@ namespace gred::embed {
 
 /// Which search machinery answers a retrieval query.
 enum class RetrievalBackend {
-  kExact = 0,      // per-dimension posting lists (bit-identical to the
+  kExact = 0,      // bound-pruned posting lists (bit-identical to the
                    // dense VectorStore::TopK scan)
   kQuantized = 1,  // int8 scan + exact re-rank of a widened shortlist
   kIvf = 2,        // IVF multi-probe (+ int8 list scans) + exact re-rank
@@ -56,18 +56,20 @@ struct RetrievalConfig {
 /// exact posting-list store, the quantized store, and the IVF index, so
 /// the embedding libraries pick their backend from configuration instead
 /// of code. The exact backend keeps no dense copy of the library: it
-/// stores each row's non-zeros in per-dimension posting lists
-/// (PostingListStore) and returns VectorStore::TopK's hits bit for bit.
+/// stores each row's non-zeros as a CSR row plus posting lists for the
+/// selective dimensions (PostingListStore), rescores only the rows whose
+/// score bound can reach the top-k, and returns VectorStore::TopK's hits
+/// bit for bit.
 ///
 /// Usage: Add() every library vector, Seal() once, then TopK() freely
 /// (TopK is const and thread-safe after Seal). Vectors Added after
 /// Seal() remain retrievable immediately — the exact backend appends to
-/// its posting lists, the quantized backend shadows each new row on
-/// insert and the IVF backend scans its pending tail exactly until its
-/// growth policy triggers a warm-started retrain. Hit indexes are
-/// insertion indexes; scores are always exact float-kernel scores
-/// (approximate backends re-rank with the exact kernel before
-/// returning).
+/// its light posting lists and heavy norms, the quantized backend
+/// shadows each new row on insert and the IVF backend scans its pending
+/// tail exactly until its growth policy triggers a warm-started retrain.
+/// Hit indexes are insertion indexes; scores are always exact
+/// float-kernel scores (approximate backends re-rank with the exact
+/// kernel before returning).
 class RetrievalIndex {
  public:
   explicit RetrievalIndex(RetrievalConfig config = {});
@@ -75,10 +77,12 @@ class RetrievalIndex {
   /// Adds a vector (L2-normalized); returns its insertion index.
   std::size_t Add(Vector v);
 
-  /// Finishes the build phase: quantizes any unshadowed rows and/or
-  /// trains the IVF lists (a no-op on the exact backend). Idempotent;
-  /// must be called before the first TopK on the IVF backend (an
-  /// unsealed IVF index has no lists and returns no hits).
+  /// Finishes the build phase: splits the exact backend's dimensions
+  /// into posting-listed and heavy ones (an unsealed exact index answers
+  /// exactly but by a full rescore), quantizes any unshadowed rows, or
+  /// trains the IVF lists. Idempotent; must be called before the first
+  /// TopK on the IVF backend (an unsealed IVF index has no lists and
+  /// returns no hits).
   void Seal();
 
   /// Top-k most similar stored vectors, best first; exact-kernel scores,

@@ -63,10 +63,10 @@ Gred::Gred(const models::TrainingCorpus& corpus, const llm::ChatModel* llm,
   }
 }
 
-Result<std::string> Gred::AnnotationsFor(const schema::Database& db) const {
-  std::string fingerprint =
-      strings::Format("%016llx", static_cast<unsigned long long>(
-                                     Fnv1a64(db.RenderSchemaPrompt())));
+Result<std::string> Gred::AnnotationsFor(
+    const schema::Database& db, const std::string& schema_prompt) const {
+  std::string fingerprint = strings::Format(
+      "%016llx", static_cast<unsigned long long>(Fnv1a64(schema_prompt)));
   {
     std::lock_guard<std::mutex> lock(annotation_mutex_);
     auto it = annotation_cache_.find(fingerprint);
@@ -87,7 +87,10 @@ Result<std::size_t> Gred::PrepareAnnotations(
     const std::vector<dataset::GeneratedDatabase>& databases) const {
   std::size_t annotated = 0;
   for (const dataset::GeneratedDatabase& db : databases) {
-    if (AnnotationsFor(db.data.db_schema()).ok()) ++annotated;
+    const schema::Database& schema = db.data.db_schema();
+    if (AnnotationsFor(schema, schema.RenderSchemaPrompt()).ok()) {
+      ++annotated;
+    }
   }
   return annotated;
 }
@@ -186,7 +189,7 @@ Result<std::string> Gred::DebugCompletion(
   // stage like a failed completion: no debugger prompt is sent.
   std::string annotations;
   if (config_.debugger_uses_annotations) {
-    Result<std::string> fetched = AnnotationsFor(schema);
+    Result<std::string> fetched = AnnotationsFor(schema, target_schema);
     if (!fetched.ok()) return fetched.status();
     annotations = std::move(fetched).value();
   }

@@ -229,7 +229,10 @@ class Gred : public models::TextToVisModel {
   /// decided exactly once per Gred instance, which keeps fault-injected
   /// runs deterministic (later calls replay the cached outcome instead
   /// of re-drawing faults under racy thread interleavings).
-  Result<std::string> AnnotationsFor(const schema::Database& db) const;
+  /// `schema_prompt` is `db.RenderSchemaPrompt()`, which the caller has
+  /// already rendered; its FNV-1a hash is the cache key.
+  Result<std::string> AnnotationsFor(const schema::Database& db,
+                                     const std::string& schema_prompt) const;
 
   GredConfig config_;
   const llm::ChatModel* llm_;  // not owned

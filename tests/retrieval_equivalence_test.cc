@@ -5,10 +5,11 @@
 // materialize every candidate, full sort, truncate — across randomized
 // inputs and the edge cases that historically bite top-k implementations
 // (empty store, k=0, k>size, duplicate vectors, zero vectors). The
-// posting-list store behind RetrievalIndex's exact backend must in turn
-// match that dense scan bit for bit, on random sparse vectors and on the
-// benchmark's real NLQ and DVQ libraries, and stay identical under a
-// many-thread TopK hammer. The CachingEmbedder is hammered from many
+// bound-pruned posting-list store behind RetrievalIndex's exact backend
+// must in turn match that dense scan bit for bit, on random sparse
+// vectors, on inputs aimed at its score bound and stop test, and on the
+// benchmark's real NLQ and DVQ libraries, and stay identical under
+// many-thread TopK hammers. The CachingEmbedder is hammered from many
 // threads and must behave exactly like its inner embedder. The hammers
 // run under TSan in scripts/tier1.sh.
 
@@ -575,6 +576,330 @@ TEST(PostingListEquivalence, DefaultSuiteNlqAndDvqLibrariesMatchDenseScan) {
     }
   }
   EXPECT_EQ(queries, suite.test_clean.size() + suite.test_nlq.size());
+}
+
+// The bound-pruned search (posting_list_store.h): the cases below aim
+// at the score bound, its slack and the rescore stop test. Each compares
+// the store bit for bit against the dense VectorStore::TopK.
+
+/// Adds `rows` to a fresh store and to its dense oracle, then seals the
+/// store.
+void BuildSealed(const std::vector<Vector>& rows, PostingListStore* store,
+                 VectorStore* dense) {
+  for (const Vector& v : rows) {
+    store->Add(v);
+    dense->Add(v);
+  }
+  store->Seal();
+}
+
+/// A row whose first `heavy` dimensions are set (so in a store of such
+/// rows they are heavy) plus sparse random light entries.
+Vector RowWithHeavyPrefix(Rng* rng, std::size_t dim, std::size_t heavy,
+                          double light_density) {
+  Vector v = RandomSparseVector(rng, dim, light_density);
+  for (std::size_t d = 0; d < heavy; ++d) {
+    v[d] = static_cast<float>(rng->NextDouble() + 0.05);
+  }
+  return v;
+}
+
+TEST(PostingListEquivalence, AllHeavyQueryHasZeroLightBound) {
+  // Dimensions 0..7 are set in every row; the queries touch only them,
+  // so the light walk adds nothing and each bound is the Cauchy–Schwarz
+  // term alone. Copies of the query make that term tight: its rounding
+  // is all that separates their bound from their score.
+  Rng rng(83);
+  constexpr std::size_t kDim = 64;
+  std::vector<Vector> queries;
+  for (int i = 0; i < 6; ++i) {
+    Vector q(kDim, 0.0f);
+    for (std::size_t d = 0; d < 8; ++d) {
+      q[d] = static_cast<float>(rng.NextDouble() + 0.05);
+    }
+    queries.push_back(q);
+  }
+  std::vector<Vector> rows;
+  for (int i = 0; i < 300; ++i) {
+    rows.push_back(i % 10 == 3 ? queries[rng.NextIndex(queries.size())]
+                               : RowWithHeavyPrefix(&rng, kDim, 8, 0.1));
+  }
+  PostingListStore store;
+  VectorStore dense;
+  BuildSealed(rows, &store, &dense);
+  for (const Vector& q : queries) {
+    for (std::size_t k : {std::size_t{1}, std::size_t{5}, std::size_t{40}}) {
+      ExpectBitIdentical(store.TopK(q, k), dense.TopK(q, k));
+    }
+  }
+}
+
+TEST(PostingListEquivalence, TiesAtKthScoreStraddleTheCandidateCut) {
+  // Two rows with the same DotBlocked score but differently rounded
+  // bounds: the second is the first with lanes 0 and 1 swapped, against
+  // a query equal on those lanes, so the lane sums only trade places.
+  // Entries are multiples of 1/64, whose squared norm is exact, so both
+  // rows normalize by the same factor. Whichever row has the higher
+  // bound is rescored first and sets the k-th score; the other ties it
+  // and must still be rescored, since the lower index wins the tie.
+  // Zero filler rows make every dimension light; without them every
+  // dimension is heavy.
+  Rng rng(97);
+  constexpr std::size_t kDim = 16;
+  for (int trial = 0; trial < 300; ++trial) {
+    Vector q(kDim);
+    Vector row(kDim);
+    for (std::size_t d = 0; d < kDim; ++d) {
+      q[d] = d % 4 == 1 ? q[d - 1] : static_cast<float>(rng.NextDouble());
+      row[d] = static_cast<float>(1 + rng.NextIndex(64)) / 64.0f;
+    }
+    Vector swapped = row;
+    for (std::size_t d = 0; d < kDim; d += 4) {
+      std::swap(swapped[d], swapped[d + 1]);
+    }
+    for (std::size_t fillers : {0u, 3u}) {
+      for (bool swapped_first : {false, true}) {
+        std::vector<Vector> rows = {swapped_first ? swapped : row,
+                                    swapped_first ? row : swapped};
+        rows.resize(2 + fillers, Vector(kDim, 0.0f));
+        PostingListStore store;
+        VectorStore dense;
+        BuildSealed(rows, &store, &dense);
+        const std::vector<Hit> tied = dense.TopK(q, 2);
+        ASSERT_EQ(tied[0].score, tied[1].score);  // the construction ties
+        for (std::size_t k : {std::size_t{1}, std::size_t{2}}) {
+          ExpectBitIdentical(store.TopK(q, k), dense.TopK(q, k));
+        }
+      }
+    }
+    if (HasFailure()) return;
+  }
+}
+
+TEST(PostingListEquivalence, StopTestLooksAtEachCandidatesOwnBound) {
+  // Dimension 0 is heavy (the four-dimensional filler rows set it but
+  // score 0 against a three-dimensional query); 1 and 2 are light. With
+  // one heavy dimension the bound is tight when a row's entry there has
+  // the query's sign and loose when it has the other sign. By bound the
+  // order is: a seed (bound 1.0, score 0.28), a loose row (0.97, 0.49),
+  // the answer (tight, 0.74) and a row (tight, 0.4) whose bound is below
+  // the loose row's score. Once the loose row has raised the k-th score,
+  // the answer must still be rescored, although the row after it may not.
+  const Vector q = {0.6f, 0.8f, 0.0f};
+  std::vector<Vector> rows = {{-0.6f, 0.8f, 0.0f},
+                              {-0.4f, 0.9165f, 0.0f},
+                              {0.3f, 0.7f, 0.648f},
+                              {0.0f, 0.5f, 0.866f}};
+  rows.resize(9, Vector{1.0f, 0.0f, 0.0f, 0.0f});
+  PostingListStore store;
+  VectorStore dense;
+  BuildSealed(rows, &store, &dense);
+  const std::vector<Hit> hits = store.TopK(q, 1);
+  ExpectBitIdentical(hits, dense.TopK(q, 1));
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].index, 2u);
+}
+
+TEST(PostingListEquivalence, DuplicateRowsTiedAcrossTheKthRank) {
+  // Runs of identical rows whose tie spans rank k: the cut must take the
+  // run's lowest indexes, wherever the run starts.
+  Rng rng(101);
+  constexpr std::size_t kDim = 48;
+  std::vector<Vector> rows;
+  std::vector<Vector> runs;
+  for (int i = 0; i < 4; ++i) {
+    runs.push_back(RowWithHeavyPrefix(&rng, kDim, 4, 0.2));
+  }
+  for (int i = 0; i < 200; ++i) {
+    rows.push_back(i % 4 == 0 ? runs[(i / 4) % runs.size()]
+                              : RowWithHeavyPrefix(&rng, kDim, 4, 0.2));
+  }
+  PostingListStore store;
+  VectorStore dense;
+  BuildSealed(rows, &store, &dense);
+  for (const Vector& q : runs) {
+    for (std::size_t k = 1; k <= 16; ++k) {
+      ExpectBitIdentical(store.TopK(q, k), dense.TopK(q, k));
+    }
+  }
+}
+
+TEST(PostingListEquivalence, KBeyondPositiveRowsReturnsZeroAndNegative) {
+  // Few rows overlap the query positively; the rest score 0 (disjoint,
+  // zero or of another dimension) or below it (the query negated). A k
+  // past the positive rows drives the k-th score to 0 and below.
+  Rng rng(103);
+  constexpr std::size_t kDim = 32;
+  const Vector q = RandomSparseVector(&rng, kDim, 0.3);
+  Vector negated = q;
+  for (float& x : negated) x = -x;
+  std::vector<Vector> rows;
+  for (int i = 0; i < 60; ++i) {
+    switch (i % 5) {
+      case 0: rows.push_back(q); break;
+      case 1: rows.push_back(negated); break;
+      case 2: rows.push_back(Vector(kDim, 0.0f)); break;
+      case 3: rows.push_back(RandomSparseVector(&rng, kDim + 1, 0.3)); break;
+      default: rows.push_back(RandomSparseVector(&rng, kDim, 0.3)); break;
+    }
+  }
+  PostingListStore store;
+  VectorStore dense;
+  BuildSealed(rows, &store, &dense);
+  for (std::size_t k : {std::size_t{12}, std::size_t{30}, std::size_t{59},
+                        std::size_t{60}, std::size_t{90}}) {
+    ExpectBitIdentical(store.TopK(q, k), dense.TopK(q, k));
+  }
+  const std::vector<Hit> all = store.TopK(q, 60);
+  EXPECT_EQ(all[30].score, 0.0);
+  EXPECT_LT(all.back().score, 0.0);
+}
+
+TEST(PostingListEquivalence, MixedDimensionRowsShareHeavyDims) {
+  // Rows of four dimensions all set dimensions 0..5, which go heavy; a
+  // query of one dimension must bound and score the others as exactly 0.
+  Rng rng(107);
+  const std::size_t dims[] = {16, 20, 32, 33};
+  std::vector<Vector> rows;
+  for (int i = 0; i < 160; ++i) {
+    rows.push_back(RowWithHeavyPrefix(&rng, dims[i % 4], 6, 0.25));
+  }
+  PostingListStore store;
+  VectorStore dense;
+  BuildSealed(rows, &store, &dense);
+  for (std::size_t dim : dims) {
+    for (int qi = 0; qi < 3; ++qi) {
+      const Vector q = RowWithHeavyPrefix(&rng, dim, 6, 0.25);
+      for (std::size_t k : {std::size_t{1}, std::size_t{10}, std::size_t{45},
+                            std::size_t{160}}) {
+        ExpectBitIdentical(store.TopK(q, k), dense.TopK(q, k));
+      }
+    }
+  }
+}
+
+TEST(PostingListEquivalence, AddAfterSealIntoHeavyDims) {
+  // Rows added after Seal keep its light/heavy split: their heavy
+  // entries count only through their heavy norm. The late rows put most
+  // of their mass on the heavy dims and on a dimension Seal never saw.
+  Rng rng(109);
+  std::vector<Vector> rows;
+  for (int i = 0; i < 100; ++i) {
+    rows.push_back(RowWithHeavyPrefix(&rng, 40, 6, 0.15));
+  }
+  PostingListStore store;
+  VectorStore dense;
+  BuildSealed(rows, &store, &dense);
+  for (int i = 0; i < 60; ++i) {
+    Vector v = RowWithHeavyPrefix(&rng, 40, 6, 0.05);
+    for (std::size_t d = 0; d < 6; ++d) v[d] *= 4.0f;
+    if (i % 7 == 0) v.resize(44, 0.5f);
+    EXPECT_EQ(store.Add(v), dense.Add(v));
+    for (const Vector& q : {v, RowWithHeavyPrefix(&rng, v.size(), 6, 0.1)}) {
+      ExpectBitIdentical(store.TopK(q, 1), dense.TopK(q, 1));
+      ExpectBitIdentical(store.TopK(q, 8), dense.TopK(q, 8));
+    }
+  }
+}
+
+TEST(PostingListEquivalence, SealTwiceReDecidesTheSplit) {
+  // A second Seal over the same rows changes nothing; after Adds that
+  // turn light dimensions heavy, it re-decides the split.
+  Rng rng(113);
+  std::vector<Vector> rows;
+  for (int i = 0; i < 80; ++i) {
+    rows.push_back(RowWithHeavyPrefix(&rng, 24, 3, 0.2));
+  }
+  PostingListStore store;
+  VectorStore dense;
+  BuildSealed(rows, &store, &dense);
+  std::vector<Vector> queries;
+  for (int i = 0; i < 6; ++i) {
+    queries.push_back(RowWithHeavyPrefix(&rng, 24, 3, 0.3));
+  }
+  std::vector<std::vector<Hit>> first;
+  for (const Vector& q : queries) first.push_back(store.TopK(q, 10));
+  store.Seal();
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    ExpectBitIdentical(store.TopK(queries[i], 10), first[i]);
+  }
+  for (int i = 0; i < 120; ++i) {
+    const Vector v = RowWithHeavyPrefix(&rng, 24, 12, 0.2);
+    store.Add(v);
+    dense.Add(v);
+  }
+  for (int seal = 0; seal < 2; ++seal) {
+    store.Seal();
+    for (const Vector& q : queries) {
+      ExpectBitIdentical(store.TopK(q, 10), dense.TopK(q, 10));
+    }
+  }
+}
+
+TEST(PostingListEquivalence, UnsealedStoreMatchesDenseScan) {
+  // Before Seal no dimension has a posting list: every bound is the
+  // Cauchy–Schwarz term over the whole row, and the same search rescores
+  // its way to the exact answer.
+  Rng rng(127);
+  PostingListStore store;
+  VectorStore dense;
+  for (int i = 0; i < 120; ++i) {
+    const Vector v = RandomSparseVector(&rng, 30, 0.2);
+    EXPECT_EQ(store.Add(v), dense.Add(v));
+  }
+  for (int qi = 0; qi < 8; ++qi) {
+    const Vector q = RandomSparseVector(&rng, 30, 0.2);
+    for (std::size_t k : {std::size_t{1}, std::size_t{10}, std::size_t{200}}) {
+      ExpectBitIdentical(store.TopK(q, k), dense.TopK(q, k));
+    }
+  }
+}
+
+TEST(RetrievalIndexFacade, ConcurrentTopKOnSealedRealLibrary) {
+  // Run under TSan by scripts/tier1.sh: threads sharing one sealed
+  // exact index over a real NLQ library, each through its own per-row
+  // scratch, must reproduce the dense scan bit for bit.
+  dataset::BenchmarkOptions options;
+  options.train_size = 1500;
+  options.test_size = 40;
+  const dataset::BenchmarkSuite suite = dataset::BuildBenchmarkSuite(options);
+  SemanticHashEmbedder embedder;
+  RetrievalIndex index;
+  VectorStore dense;
+  for (const dataset::Example& ex : suite.train) {
+    const Vector v = embedder.Embed(ex.nlq);
+    index.Add(v);
+    dense.Add(v);
+  }
+  index.Seal();
+  std::vector<Vector> queries;
+  std::vector<std::vector<Hit>> expected;
+  for (const dataset::Example& ex : suite.test_nlq) {
+    queries.push_back(embedder.Embed(ex.nlq));
+    expected.push_back(dense.TopK(queries.back(), 10));
+  }
+  constexpr int kThreads = 4;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        const std::size_t qi =
+            (i + static_cast<std::size_t>(t) * 7) % queries.size();
+        const std::vector<Hit> hits = index.TopK(queries[qi], 10);
+        bool same = hits.size() == expected[qi].size();
+        for (std::size_t r = 0; same && r < hits.size(); ++r) {
+          same = hits[r].index == expected[qi][r].index &&
+                 std::memcmp(&hits[r].score, &expected[qi][r].score,
+                             sizeof(double)) == 0;
+        }
+        if (!same) mismatches.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(RetrievalIndexFacade, ConcurrentExactTopKMatchesSerialRun) {
