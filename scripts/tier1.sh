@@ -4,8 +4,10 @@
 # concurrency-sensitive tests (the parallel eval harness, the thread
 # pool, GRED's mutex-guarded annotation cache and per-call traces, the
 # sharded embedding cache, the exact retrieval backend's per-thread
-# row scratch, and the fault-tolerance layer, whose retry + degradation
-# paths exercise the annotation cache and stage timers concurrently).
+# row scratch, the parallel preparatory phase (ParallelFor, suite and
+# library builds) and the fault-tolerance layer, whose retry +
+# degradation paths exercise the annotation cache and stage timers
+# concurrently).
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -131,9 +133,14 @@ fi
 cmake --build "$ROOT/build-tsan" -j"$JOBS" \
   --target thread_pool_test eval_test llm_test gred_test \
            retrieval_equivalence_test serve_test circuit_breaker_test \
-           exec_reference_test kernel_dispatch_test
-# TSAN_OPTIONS makes any detected race fail the run loudly.
+           exec_reference_test kernel_dispatch_test preparatory_phase_test
+# TSAN_OPTIONS makes any detected race fail the run loudly. The thread
+# pool binary includes the ParallelFor tests.
 TSAN_OPTIONS="halt_on_error=1" "$ROOT/build-tsan/tests/thread_pool_test"
+# The preparatory phase renders the suite, derives the schema splits and
+# embeds both libraries (through GRED's shared CachingEmbedder) on every
+# core; its golden digests and cache counters must hold race-free.
+TSAN_OPTIONS="halt_on_error=1" "$ROOT/build-tsan/tests/preparatory_phase_test"
 TSAN_OPTIONS="halt_on_error=1" "$ROOT/build-tsan/tests/eval_test" \
   --gtest_filter='ParallelHarness.*'
 TSAN_OPTIONS="halt_on_error=1" "$ROOT/build-tsan/tests/llm_test" \

@@ -1,11 +1,14 @@
 #include "dataset/benchmark.h"
 
+#include <algorithm>
 #include <set>
+#include <unordered_map>
 
 #include "dataset/query_generator.h"
 #include "nl/lexicon.h"
 #include "util/rng.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 
 namespace gred::dataset {
 
@@ -72,27 +75,41 @@ BenchmarkSuite BuildBenchmarkSuite(const BenchmarkOptions& options) {
       }
     }
   } else {
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (i < options.test_size) {
-        suite.test_clean.push_back(pool[i]);
-      } else {
-        suite.train.push_back(pool[i]);
-      }
-    }
+    const std::size_t test_size = std::min(options.test_size, pool.size());
+    suite.test_clean.resize(test_size);
+    suite.train.resize(pool.size() - test_size);
+    ParallelFor(pool.size(), [&](std::size_t i) {
+      (i < test_size ? suite.test_clean[i] : suite.train[i - test_size]) =
+          pool[i];
+    });
   }
 
-  // Derived robustness test sets.
-  suite.test_nlq = suite.test_clean;
-  for (Example& ex : suite.test_nlq) ex.nlq = ex.nlq_rob;
-
-  suite.test_schema = suite.test_clean;
-  for (Example& ex : suite.test_schema) {
-    const GeneratedDatabase* clean = suite.FindCleanDb(ex.db_name);
-    ex.dvq = RewriteDvq(ex.dvq, *clean, suite.renames.at(ex.db_name));
+  // Derived robustness test sets, one pass per example. Each schema
+  // variant resolves its database and rename map through one index built
+  // here, not a scan of the corpus per example.
+  struct SchemaTarget {
+    const GeneratedDatabase* clean = nullptr;
+    const SchemaRename* renames = nullptr;
+  };
+  std::unordered_map<std::string, SchemaTarget> targets;
+  for (const GeneratedDatabase& db : suite.databases) {
+    targets.emplace(strings::ToLower(db.data.name()),
+                    SchemaTarget{&db, &suite.renames.at(db.data.name())});
   }
-
-  suite.test_both = suite.test_schema;
-  for (Example& ex : suite.test_both) ex.nlq = ex.nlq_rob;
+  const std::size_t n = suite.test_clean.size();
+  suite.test_nlq.resize(n);
+  suite.test_schema.resize(n);
+  suite.test_both.resize(n);
+  ParallelFor(n, [&](std::size_t i) {
+    const Example& clean = suite.test_clean[i];
+    const SchemaTarget& target = targets.at(strings::ToLower(clean.db_name));
+    Example& nlq = suite.test_nlq[i] = clean;
+    nlq.nlq = clean.nlq_rob;
+    Example& schema = suite.test_schema[i] = clean;
+    schema.dvq = RewriteDvq(clean.dvq, *target.clean, *target.renames);
+    Example& both = suite.test_both[i] = schema;
+    both.nlq = clean.nlq_rob;
+  });
 
   return suite;
 }

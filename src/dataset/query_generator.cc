@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/strings.h"
+#include "util/thread_pool.h"
 
 namespace gred::dataset {
 
@@ -402,12 +403,22 @@ std::optional<QueryPlan> QueryGenerator::SamplePlan(
 
 std::vector<Example> QueryGenerator::Generate(std::size_t count,
                                               const std::string& prefix) {
-  std::vector<Example> out;
-  out.reserve(count);
+  // Serial draw: plans, and both NLQ forks of every variant, come off the
+  // one generator in the same order as a variant-by-variant loop would
+  // take them. Rendering then reads only a variant's own plan and forks,
+  // so it runs in parallel and still yields the same examples.
+  struct Variant {
+    std::size_t plan;  // index into `plans`, also the id's plan number
+    std::size_t variant;
+    Rng nlq_rng;
+    Rng rob_rng;
+  };
+  std::vector<QueryPlan> plans;
+  std::vector<Variant> variants;
+  variants.reserve(count);
   Rng rng(options_.seed ^ Fnv1a64(prefix));
   std::size_t db_cursor = 0;
-  std::size_t plan_index = 0;
-  while (out.size() < count) {
+  while (variants.size() < count) {
     const GeneratedDatabase& db =
         (*databases_)[db_cursor % databases_->size()];
     ++db_cursor;
@@ -418,24 +429,31 @@ std::vector<Example> QueryGenerator::Generate(std::size_t count,
     if (!plan.has_value()) continue;
     // Several NLQ surface variants share the same plan (and target DVQ),
     // mirroring nvBench's multiple questions per visualization.
+    const std::size_t plan_index = plans.size();
+    plans.push_back(std::move(*plan));
     for (std::size_t variant = 0;
-         variant < options_.variants_per_plan && out.size() < count;
+         variant < options_.variants_per_plan && variants.size() < count;
          ++variant) {
-      Example ex;
-      ex.id = strings::Format("%s%05zu-v%zu", prefix.c_str(), plan_index,
-                              variant);
-      ex.db_name = plan->db_name;
-      ex.dvq = PlanToDvq(*plan);
-      ex.hardness = plan->hardness;
       Rng nlq_rng = rng.Fork();
-      ex.nlq = RenderNlq(*plan, NlqStyle::kExplicit, &nlq_rng, *lexicon_);
       Rng rob_rng = rng.Fork();
-      ex.nlq_rob =
-          RenderNlq(*plan, NlqStyle::kParaphrased, &rob_rng, *lexicon_);
-      out.push_back(std::move(ex));
+      variants.push_back(Variant{plan_index, variant, nlq_rng, rob_rng});
     }
-    ++plan_index;
   }
+
+  std::vector<Example> out(variants.size());
+  ParallelFor(variants.size(), [&](std::size_t i) {
+    Variant& v = variants[i];
+    const QueryPlan& plan = plans[v.plan];
+    Example& ex = out[i];
+    ex.id = strings::Format("%s%05zu-v%zu", prefix.c_str(), v.plan,
+                            v.variant);
+    ex.db_name = plan.db_name;
+    ex.dvq = PlanToDvq(plan);
+    ex.hardness = plan.hardness;
+    ex.nlq = RenderNlq(plan, NlqStyle::kExplicit, &v.nlq_rng, *lexicon_);
+    ex.nlq_rob = RenderNlq(plan, NlqStyle::kParaphrased, &v.rob_rng,
+                           *lexicon_);
+  });
   return out;
 }
 

@@ -122,7 +122,7 @@ struct EvalOptions {
 /// Worker count used when `EvalOptions::num_threads == 0`: the
 /// `GRED_BENCH_THREADS` environment override when it parses as a
 /// positive integer (a warning is printed and the override ignored
-/// otherwise), else the hardware concurrency.
+/// otherwise), else HardwareThreads() (the CPUs in the affinity mask).
 std::size_t DefaultEvalThreads();
 
 /// Scores one prediction against the target (component metrics).

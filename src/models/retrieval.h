@@ -31,7 +31,9 @@ class ExampleIndex {
   };
 
   /// Indexes `train` (not owned; must outlive the index) using
-  /// `embedder` (not owned).
+  /// `embedder` (not owned), which is called from several threads at once:
+  /// the library is embedded in parallel batches and added in training
+  /// order.
   ExampleIndex(const std::vector<dataset::Example>* train,
                const embed::TextEmbedder* embedder,
                embed::RetrievalConfig config = embed::RetrievalConfig::FromEnv());

@@ -14,9 +14,24 @@
 
 namespace gred {
 
-/// Number of worker threads to use by default: the hardware concurrency,
-/// never less than 1 (std::thread::hardware_concurrency may return 0).
+/// Number of worker threads to use by default: the CPUs this thread may
+/// run on (its affinity mask, so `taskset -c 0` yields 1), falling back to
+/// the hardware concurrency where the mask is unavailable; never less
+/// than 1.
 std::size_t HardwareThreads();
+
+/// Smallest slice ParallelFor hands to a thread. A range shorter than two
+/// slices runs inline on the calling thread.
+inline constexpr std::size_t kParallelForMinSlice = 64;
+
+/// Runs `fn(i)` once for every i in [0, n) on up to HardwareThreads()
+/// threads and returns when all calls have finished. The range is cut
+/// into contiguous slices of at least kParallelForMinSlice indexes, one
+/// per thread; the calling thread runs the first slice. `fn` must be safe
+/// to call concurrently for distinct indexes. If calls throw, the rest of
+/// each throwing slice is skipped and the first exception, in slice
+/// order, is rethrown once every slice has finished.
+void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
 /// A fixed-size worker pool.
 ///

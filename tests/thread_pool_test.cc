@@ -1,11 +1,17 @@
-// Unit tests for the worker pool behind the parallel eval harness.
+// Unit tests for the worker pool behind the parallel eval harness, and
+// for ParallelFor, the fork-join loop of the preparatory phase.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <future>
 #include <stdexcept>
+#include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "util/thread_pool.h"
 #include "util/timing.h"
@@ -15,6 +21,73 @@ namespace {
 
 TEST(ThreadPool, HardwareThreadsIsPositive) {
   EXPECT_GE(HardwareThreads(), 1u);
+}
+
+#ifdef __linux__
+TEST(ThreadPool, HardwareThreadsHonorsTheAffinityMask) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  // Pins only this thread of this process, and restores it before
+  // checking, so a failed expectation cannot leak the pin.
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t pinned = HardwareThreads();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(HardwareThreads(), static_cast<std::size_t>(CPU_COUNT(&saved)));
+}
+#endif
+
+TEST(ParallelFor, EmptyRangeCallsNothing) {
+  std::atomic<int> calls{0};
+  ParallelFor(0, [&calls](std::size_t) { calls.fetch_add(1); });
+  EXPECT_EQ(calls.load(), 0);
+}
+
+TEST(ParallelFor, ShortRangeRunsInlineInOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  bool all_inline = true;
+  const std::size_t n = 2 * kParallelForMinSlice - 1;
+  ParallelFor(n, [&](std::size_t i) {
+    all_inline = all_inline && std::this_thread::get_id() == caller;
+    order.push_back(i);
+  });
+  EXPECT_TRUE(all_inline);
+  ASSERT_EQ(order.size(), n);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
+  for (std::size_t n : {kParallelForMinSlice * 2, std::size_t{1000},
+                        std::size_t{4097}}) {
+    std::vector<std::atomic<int>> visits(n);
+    ParallelFor(n, [&visits](std::size_t i) { visits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(visits[i].load(), 1) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(ParallelFor, ExceptionPropagatesToTheCaller) {
+  std::atomic<int> calls{0};
+  const std::size_t n = 4096;
+  EXPECT_THROW(ParallelFor(n,
+                           [&calls, n](std::size_t i) {
+                             calls.fetch_add(1);
+                             if (i == n - 1) throw std::runtime_error("boom");
+                           }),
+               std::runtime_error);
+  // Every slice ran to its end (the throw is the last index).
+  EXPECT_EQ(calls.load(), static_cast<int>(n));
+  // Inline ranges propagate too.
+  EXPECT_THROW(ParallelFor(1, [](std::size_t) { throw std::logic_error("x"); }),
+               std::logic_error);
 }
 
 TEST(ThreadPool, ResultsLandInTheRightFutures) {
