@@ -25,15 +25,16 @@
 // length, default 200), GRED_SERVE_WORKERS (chaos worker count, default
 // 2), GRED_BENCH_FAULT_RATE (chaos-phase LLM fault rate, default 0.2),
 // GRED_BENCH_RETRIES (default 3), GRED_SERVE_BREAKER_FAILURES /
-// GRED_SERVE_BREAKER_COOLDOWN (breaker knobs, defaults 5 / 8),
-// GRED_CHAOS_JSON=<path> (machine-readable report for
-// scripts/bench_report --chaos).
+// GRED_SERVE_BREAKER_COOLDOWN (breaker knobs, defaults 5 / 8).
+//
+// Usage: chaos_sweep [REPORT_JSON] — with an argument, also writes the
+// machine-readable report (scripts/bench_report --chaos writes
+// BENCH_serve.json this way).
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -100,9 +101,10 @@ gred::llm::Prompt OneLinePrompt(std::size_t i) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace gred;
 
+  const char* report_path = bench::ReportPathArg(argc, argv);
   bool all_ok = true;
   auto check = [&all_ok](bool condition, const char* what) {
     if (!condition) {
@@ -423,7 +425,7 @@ int main() {
               identity_requests,
               identity_ok ? "byte-identical to" : "DIVERGED from");
 
-  if (const char* out_path = std::getenv("GRED_CHAOS_JSON")) {
+  if (report_path != nullptr) {
     Value report = Value::Object();
     report.Set("schema", Value::Str("gredvis-bench-chaos/1"));
     Value economics = Value::Object();
@@ -472,14 +474,9 @@ int main() {
                  Value::Int(static_cast<std::int64_t>(identity_requests)));
     identity.Set("replay_identical", Value::Bool(identity_ok));
     report.Set("identity", std::move(identity));
-
-    std::ofstream out(out_path);
-    out << report.Dump(2) << '\n';
-    if (!out) {
-      std::fprintf(stderr, "[bench] FAIL: could not write %s\n", out_path);
+    if (!bench::WriteReport(std::move(report), "chaos_sweep", report_path)) {
       return 1;
     }
-    std::printf("wrote %s\n", out_path);
   }
 
   return all_ok ? 0 : 1;

@@ -1,8 +1,10 @@
 #include "bench/common.h"
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 
 #include "util/env.h"
 #include "util/strings.h"
@@ -100,6 +102,40 @@ std::unique_ptr<core::Gred> BenchContext::MakeGred(
   if (config.stage_limits.Unlimited()) config.stage_limits = guard_limits_;
   if (lint_) config.enable_lint = true;
   return std::make_unique<core::Gred>(corpus_, chat, std::move(config));
+}
+
+const char* ReportPathArg(int argc, char** argv) {
+  if (argc > 2) {
+    std::fprintf(stderr, "usage: %s [REPORT_JSON]\n", argv[0]);
+    std::exit(2);
+  }
+  return argc == 2 ? argv[1] : nullptr;
+}
+
+bool WriteReport(json::Value report, const std::string& binary,
+                 const char* path) {
+  const std::string build_type =
+      GRED_BUILD_TYPE[0] != '\0' ? GRED_BUILD_TYPE : "unknown";
+  const bool tainted = build_type != "Release";
+  if (tainted) {
+    std::fprintf(stderr,
+                 "[bench] WARNING: build type is '%s', not Release; the "
+                 "report is marked \"tainted\": true\n",
+                 build_type.c_str());
+  }
+  report.Set("generated_by", json::Value::Str("bench/" + binary));
+  report.Set("build_type", json::Value::Str(build_type));
+  report.Set("tainted", json::Value::Bool(tainted));
+  report.Set("host_cpus",
+             json::Value::Int(static_cast<std::int64_t>(HardwareThreads())));
+  std::ofstream out(path);
+  out << report.Dump(2) << '\n';
+  if (!out) {
+    std::fprintf(stderr, "[bench] FAIL: could not write %s\n", path);
+    return false;
+  }
+  std::printf("wrote %s\n", path);
+  return true;
 }
 
 void PrintResultsTable(const std::string& title,

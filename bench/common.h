@@ -14,6 +14,7 @@
 #include "models/rgvisnet.h"
 #include "models/seq2vis.h"
 #include "models/transformer.h"
+#include "util/json.h"
 
 namespace gred::bench {
 
@@ -101,6 +102,20 @@ class BenchContext {
   std::unique_ptr<models::RGVisNet> rgvisnet_;
   std::unique_ptr<core::Gred> gred_;
 };
+
+/// The report path of a sweep binary: its one optional argument, or
+/// nullptr when it was run without one (tables only). More than one
+/// argument prints usage and exits(2) before any work starts.
+const char* ReportPathArg(int argc, char** argv);
+
+/// Writes a sweep's final JSON report to `path`, stamped with
+/// `generated_by` ("bench/<binary>"), `build_type` (CMAKE_BUILD_TYPE at
+/// configure time), `tainted` (build type is not Release: the numbers
+/// are written but must not be committed) and `host_cpus`
+/// (HardwareThreads()). Returns false, after printing why, when the
+/// file cannot be written.
+bool WriteReport(json::Value report, const std::string& binary,
+                 const char* path);
 
 /// Prints one paper-style results table (Vis/Data/Axis/Overall columns).
 void PrintResultsTable(const std::string& title,

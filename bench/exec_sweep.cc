@@ -13,16 +13,17 @@
 //
 // Environment: GRED_EXEC_ROWS (synthetic fact-table rows, default
 // 1000000), GRED_EXEC_REPS (timed repetitions per engine, best-of,
-// default 5). GRED_EXEC_JSON=<path> additionally writes the
-// machine-readable report that scripts/bench_report --exec wraps into
-// BENCH_exec.json.
+// default 5). Usage: exec_sweep [REPORT_JSON] — with an argument, also
+// writes the machine-readable report, with the derived min_speedup and
+// all_identical verdicts (scripts/bench_report --exec writes
+// BENCH_exec.json this way).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -104,9 +105,10 @@ gred::dvq::Predicate Cmp(const std::string& column,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace gred;
 
+  const char* report_path = bench::ReportPathArg(argc, argv);
   const std::size_t num_rows = EnvSizeOrDie("GRED_EXEC_ROWS", 1000000);
   const std::size_t reps = EnvSizeOrDie("GRED_EXEC_REPS", 5);
 
@@ -292,7 +294,7 @@ int main() {
   std::printf("columnar results identical to row engine: %s\n",
               all_identical ? "ok" : "FAILED");
 
-  if (const char* out_path = std::getenv("GRED_EXEC_JSON")) {
+  if (report_path != nullptr) {
     json::Value report = json::Value::Object();
     report.Set("schema", json::Value::Str("gredvis-bench-exec/1"));
     report.Set("rows", json::Value::Int(static_cast<std::int64_t>(num_rows)));
@@ -311,13 +313,15 @@ int main() {
       sweep.Append(std::move(entry));
     }
     report.Set("workloads", std::move(sweep));
-    std::ofstream out(out_path);
-    out << report.Dump(2) << '\n';
-    if (!out) {
-      std::fprintf(stderr, "[bench] FAIL: could not write %s\n", out_path);
+    double min_speedup = points.empty() ? 0.0 : points.front().speedup;
+    for (const Point& point : points) {
+      min_speedup = std::min(min_speedup, point.speedup);
+    }
+    report.Set("min_speedup", json::Value::Number(min_speedup));
+    report.Set("all_identical", json::Value::Bool(all_identical));
+    if (!bench::WriteReport(std::move(report), "exec_sweep", report_path)) {
       return 1;
     }
-    std::printf("wrote %s\n", out_path);
   }
 
   return all_identical ? 0 : 1;

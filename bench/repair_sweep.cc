@@ -23,15 +23,14 @@
 // query that trips at runtime but was not gated would disprove the
 // upper bound).
 //
-// GRED_ANALYSIS_JSON=<path> additionally writes the machine-readable
-// report consumed by scripts/bench_report --analysis.
+// Usage: repair_sweep [REPORT_JSON] — with an argument, also writes the
+// machine-readable report (scripts/bench_report --analysis writes
+// BENCH_analysis.json this way).
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -147,7 +146,8 @@ struct FractionRow {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const char* report_path = bench::ReportPathArg(argc, argv);
   bench::BenchContext context;
   const std::vector<dataset::Example>& test = context.suite().test_nlq;
   const std::vector<dataset::GeneratedDatabase>& databases =
@@ -376,7 +376,7 @@ int main() {
   std::printf("repair strictly beats lint-only at every rate: %s\n",
               repair_vs_lint_ok ? "ok" : "FAILED");
 
-  if (const char* out_path = std::getenv("GRED_ANALYSIS_JSON")) {
+  if (report_path != nullptr) {
     Value report = Value::Object();
     report.Set("schema", Value::Str("gredvis-bench-analysis/1"));
     report.Set("examples", U64(static_cast<std::uint64_t>(test.size())));
@@ -412,14 +412,10 @@ int main() {
     cost.Set("fractions", std::move(points));
     cost.Set("sound", Value::Bool(cost_sound));
     report.Set("cost", std::move(cost));
-
-    std::ofstream out(out_path);
-    out << report.Dump(2) << '\n';
-    if (!out) {
-      std::fprintf(stderr, "[bench] FAIL: could not write %s\n", out_path);
+    if (!bench::WriteReport(std::move(report), "repair_sweep",
+                            report_path)) {
       return 1;
     }
-    std::printf("wrote %s\n", out_path);
   }
 
   return repair_vs_lint_ok && cost_sound ? 0 : 1;

@@ -1,7 +1,8 @@
-// Retrieval-at-scale sweep: the recall@k-vs-latency frontier of the
-// three retrieval backends (the exact backend serving uses — a sealed
-// bound-pruned posting-list RetrievalIndex —, int8 quantized scan with
-// exact re-rank, IVF multi-probe) over a procedurally grown NLQ library.
+// Retrieval-at-scale sweep: the recall@k-vs-latency frontier of the two
+// retrieval backends (the exact backend serving uses — a sealed
+// bound-pruned posting-list RetrievalIndex — and IVF multi-probe with
+// int8 list scans and an exact re-rank) over a procedurally grown NLQ
+// library, embedded at the served dimension (EmbedderOptions{}).
 //
 // The library is generated with the benchmark's own NLQ machinery
 // (dataset::GrowNlqLibrary over the standard 104-database corpus), so
@@ -12,28 +13,27 @@
 // Per sweep point: recall@k against the exact backend's ground truth,
 // per-query latency (mean/p50/p95) and speedup over exact. The exact
 // backend's hits must equal the dense VectorStore::TopK scan's bit for
-// bit on every query; the sweep exits 1 if any differs. The IVF
-// frontier is walked by probe count over one build (lists are
-// probe-count independent), so the sweep isolates search cost from
-// training cost. Build costs (embedding, IVF training) are reported
-// separately.
+// bit on every query (the report's exact_matches_dense); the sweep exits
+// 1 if any differs. The IVF frontier is walked by probe count over one
+// build (lists are probe-count independent), so the sweep isolates
+// search cost from training cost. Build costs (embedding, IVF training)
+// are reported separately.
+//
+// Usage: retrieval_sweep [REPORT_JSON] — with an argument, also writes
+// the machine-readable report (scripts/bench_report writes
+// BENCH_retrieval.json this way).
 //
 // Environment (validated via util/env.h; mistyped knobs exit(2)):
 //   GRED_SWEEP_LIBRARY   library size            (default 100000)
 //   GRED_SWEEP_QUERIES   query count             (default 200)
 //   GRED_SWEEP_K         k of recall@k           (default 10)
-//   GRED_SWEEP_DIM       embedder dimension      (default 256)
 //   GRED_SWEEP_PROBES    narrow the IVF probe sweep to one count
-//   GRED_RETRIEVAL_JSON  write the machine-readable report here
-//                        (scripts/bench_report wraps it into
-//                        BENCH_retrieval.json)
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -73,7 +73,7 @@ double Percentile(const std::vector<double>& sorted, double q) {
 
 /// One point on the frontier.
 struct SweepPoint {
-  std::string backend;      // "exact" | "quantized" | "ivf"
+  std::string backend;      // "exact" | "ivf"
   std::size_t probes = 0;   // ivf only
   double recall_at_k = 0.0;
   double mean_us = 0.0;
@@ -113,13 +113,14 @@ bool SameHits(const std::vector<gred::embed::Hit>& a,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace gred;
 
+  const char* report_path = bench::ReportPathArg(argc, argv);
   const std::size_t library_size = EnvSizeOrDie("GRED_SWEEP_LIBRARY", 100000);
   const std::size_t num_queries = EnvSizeOrDie("GRED_SWEEP_QUERIES", 200);
   const std::size_t k = EnvSizeOrDie("GRED_SWEEP_K", 10);
-  const std::size_t dim = EnvSizeOrDie("GRED_SWEEP_DIM", 256);
+  const std::size_t dim = embed::EmbedderOptions{}.dimension;
 
   std::printf("dot kernel target: %s\n",
               embed::DotTargetName(embed::ActiveDotTarget()));
@@ -139,10 +140,7 @@ int main() {
   const double corpus_s = Seconds(corpus_start);
 
   // --- Embedding ---------------------------------------------------------
-  embed::EmbedderOptions embed_options;
-  embed_options.dimension = dim;
-  embed::SemanticHashEmbedder embedder(&nl::Lexicon::Default(),
-                                       embed_options);
+  embed::SemanticHashEmbedder embedder;
   const auto embed_start = std::chrono::steady_clock::now();
   std::vector<embed::Vector> vectors;
   vectors.reserve(library.size());
@@ -163,12 +161,9 @@ int main() {
   exact.Seal();
   const double exact_s = Seconds(exact_start);
 
-  // The dense store: the bit-identity oracle and the quantized backend.
+  // The dense scan: the exact backend's bit-identity oracle.
   embed::VectorStore dense;
   for (const embed::Vector& v : vectors) dense.Add(v);
-  const auto quantize_start = std::chrono::steady_clock::now();
-  dense.EnsureQuantized();
-  const double quantize_s = Seconds(quantize_start);
 
   embed::IvfIndex::Options ivf_options;
   ivf_options.num_clusters = 0;  // auto ~sqrt(n)
@@ -180,9 +175,6 @@ int main() {
   const double ivf_build_s = Seconds(ivf_start);
 
   // --- Sweep -------------------------------------------------------------
-  const std::size_t rerank_shortlist = embed::ShortlistSize(
-      k, dense.size(), /*factor=*/4, /*slack=*/32);
-
   std::vector<std::vector<embed::Hit>> truth(queries.size());
   std::vector<SweepPoint> frontier;
 
@@ -228,11 +220,7 @@ int main() {
                  "[bench] FAIL: %zu of %zu queries: exact backend hits "
                  "differ from the dense scan\n",
                  mismatched, queries.size());
-    return 1;
   }
-  run_point("quantized", 0, [&](const embed::Vector& q) {
-    return dense.TopKQuantized(q, k, rerank_shortlist);
-  });
 
   std::vector<std::size_t> probe_sweep = {1, 2, 4, 8, 16};
   if (std::getenv("GRED_SWEEP_PROBES") != nullptr) {
@@ -269,13 +257,12 @@ int main() {
   std::printf("%s", table.ToString().c_str());
   std::printf(
       "build: corpus %.2f s, embed %.2f s, exact index %.3f s, "
-      "quantize %.3f s, ivf train %.2f s (%zu clusters)\n",
-      corpus_s, embed_s, exact_s, quantize_s, ivf_build_s,
-      ivf.num_clusters());
+      "ivf train %.2f s (%zu clusters)\n",
+      corpus_s, embed_s, exact_s, ivf_build_s, ivf.num_clusters());
 
-  if (const char* out_path = std::getenv("GRED_RETRIEVAL_JSON")) {
+  if (report_path != nullptr) {
     Value report = Value::Object();
-    report.Set("schema", Value::Str("gredvis-bench-retrieval-sweep/1"));
+    report.Set("schema", Value::Str("gredvis-bench-retrieval/3"));
     report.Set("library_size",
                Value::Int(static_cast<std::int64_t>(library.size())));
     report.Set("queries", Value::Int(static_cast<std::int64_t>(queries.size())));
@@ -287,7 +274,6 @@ int main() {
     build.Set("corpus_s", Value::Number(corpus_s));
     build.Set("embed_s", Value::Number(embed_s));
     build.Set("exact_index_s", Value::Number(exact_s));
-    build.Set("quantize_s", Value::Number(quantize_s));
     build.Set("ivf_train_s", Value::Number(ivf_build_s));
     build.Set("ivf_clusters",
               Value::Int(static_cast<std::int64_t>(ivf.num_clusters())));
@@ -307,14 +293,11 @@ int main() {
       points.Append(std::move(entry));
     }
     report.Set("frontier", std::move(points));
-
-    std::ofstream out(out_path);
-    out << report.Dump(2) << '\n';
-    if (!out) {
-      std::fprintf(stderr, "[bench] FAIL: could not write %s\n", out_path);
+    report.Set("exact_matches_dense", Value::Bool(mismatched == 0));
+    if (!bench::WriteReport(std::move(report), "retrieval_sweep",
+                            report_path)) {
       return 1;
     }
-    std::printf("wrote %s\n", out_path);
   }
-  return 0;
+  return mismatched == 0 ? 0 : 1;
 }

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Tier-1 verification: full build + test suite, a Release micro-benchmark
-# smoke over the retrieval kernel, then a ThreadSanitizer pass over the
-# concurrency-sensitive tests (the parallel eval harness, the thread
-# pool, GRED's mutex-guarded annotation cache and per-call traces, the
-# sharded embedding cache, the exact retrieval backend's per-thread
-# row scratch, the parallel preparatory phase (ParallelFor, suite and
-# library builds) and the fault-tolerance layer, whose retry +
-# degradation paths exercise the annotation cache and stage timers
-# concurrently).
+# Tier-1 verification: full build + test suite, a micro-benchmark smoke,
+# smoke runs of the sweep binaries and the serving paths, then a
+# ThreadSanitizer pass over the concurrency-sensitive tests (the
+# parallel eval harness, the thread pool, GRED's mutex-guarded
+# annotation cache and per-call traces, the sharded embedding cache,
+# the exact retrieval backend's per-thread row scratch, the parallel
+# preparatory phase (ParallelFor, suite and library builds) and the
+# fault-tolerance layer, whose retry + degradation paths exercise the
+# annotation cache and stage timers concurrently), and an ASan+UBSan
+# pass over the fuzz, guard and retrieval tests.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -31,15 +32,22 @@ if "$ROOT/build/tools/dvqlint" hr_1 "$ROOT/examples/dvqs/broken.dvq" \
   exit 1
 fi
 
-echo "== tier-1: micro-benchmark smoke (Release retrieval kernel) =="
-# Fast pass over the retrieval benchmarks: keeps the benchmark path and
-# the bench-report tooling building and running. Includes the
-# retrieval_sweep 1-probe smoke (2000-entry library, exact vs quantized
-# vs IVF at one probe) so the recall@k frontier path runs on every gate.
-# Writes to build/ so a smoke run never overwrites the committed
-# BENCH_retrieval.json numbers (regenerate those with a plain
-# `scripts/bench_report`).
+echo "== tier-1: micro-benchmark smoke =="
+# Fast pass over every google-benchmark micro-benchmark, so the
+# benchmark path keeps building and running.
+"$ROOT/build/bench/micro_benchmarks" --benchmark_min_time=0.02
+
+# The sweep smokes below go through scripts/bench_report --smoke and
+# write to build/, so a smoke run never overwrites a committed BENCH_*.json
+# (regenerate those with a plain `scripts/bench_report [--mode]`). Each
+# sweep binary asserts its own verdicts and exits nonzero when one fails.
+SMOKE_REPORTS=()
+
+echo "== tier-1: retrieval-sweep smoke (exact vs IVF frontier) =="
+# 2000-entry library, IVF at one probe: the recall@k frontier path and
+# the exact backend's bit-identity with the dense scan.
 "$ROOT/scripts/bench_report" --smoke "$ROOT/build/BENCH_retrieval_smoke.json"
+SMOKE_REPORTS+=("$ROOT/build/BENCH_retrieval_smoke.json")
 
 echo "== tier-1: serve smoke (wire protocol end to end) =="
 # Three requests through the real CLI serve loop: a valid translate, a
@@ -76,24 +84,15 @@ if tripped.get("ok") is not False or not tripped.get("resource_exhausted"):
 print("serve smoke: 3/3 responses well-formed, clean shutdown")
 PY
 
-echo "== tier-1: serve-sweep smoke (replay identity + admission control) =="
-# One-worker trace replay through scripts/bench_report --serve: the
-# binary itself asserts byte-identity with the serial transcript and
-# exact response accounting under the overload burst. Writes to build/
-# so a smoke run never overwrites the committed BENCH_serve.json.
-GRED_SERVE_THREADS=1 GRED_SERVE_REQUESTS=12 \
-  "$ROOT/scripts/bench_report" --serve --smoke \
-  "$ROOT/build/BENCH_serve_smoke.json"
-
 echo "== tier-1: chaos smoke (overload + faults + reload invariants) =="
 # The deterministic chaos harness at smoke scale: breaker-vs-retry
 # economics on a dead backend, an all-knobs-on schedule (bursts, a
 # wedged worker, injected faults, rate limiting, brownout, a mid-run
 # reload) with exactly-once + counter-balance asserted by the binary,
-# and the knobs-off replay-identity check. Merges into the smoke serve
-# report so the committed BENCH_serve.json is never touched by the gate.
+# and the knobs-off replay-identity check.
 "$ROOT/scripts/bench_report" --chaos --smoke \
   "$ROOT/build/BENCH_serve_smoke.json"
+SMOKE_REPORTS+=("$ROOT/build/BENCH_serve_smoke.json")
 
 echo "== tier-1: analysis smoke (repair gate + cost calibration) =="
 # The repair/cost sweep at smoke scale through scripts/bench_report
@@ -101,18 +100,34 @@ echo "== tier-1: analysis smoke (repair gate + cost calibration) =="
 # reduces lint rejections without losing accuracy at every corruption
 # rate, and that the cost estimator never under-prices a corpus query
 # (zero false rejections at max budget, zero missed runtime trips).
-# Writes to build/ so a smoke run never overwrites the committed
-# BENCH_analysis.json numbers.
 "$ROOT/scripts/bench_report" --analysis --smoke \
   "$ROOT/build/BENCH_analysis_smoke.json"
+SMOKE_REPORTS+=("$ROOT/build/BENCH_analysis_smoke.json")
 
 echo "== tier-1: exec-sweep smoke (columnar vs row engine identity) =="
 # Both executor engines over a small synthetic table through
 # scripts/bench_report --exec: the binary itself asserts bit-identical
-# results with guards armed. Writes to build/ so a smoke run never
-# overwrites the committed BENCH_exec.json numbers.
+# results with guards armed.
 "$ROOT/scripts/bench_report" --exec --smoke \
   "$ROOT/build/BENCH_exec_smoke.json"
+SMOKE_REPORTS+=("$ROOT/build/BENCH_exec_smoke.json")
+
+echo "== tier-1: sweep reports carry their provenance stamp =="
+# Every report says what build and host produced it, so a Debug or
+# 1-CPU number can never pass for the trajectory unnoticed.
+python3 - "${SMOKE_REPORTS[@]}" <<'PY'
+import json, sys
+
+for path in sys.argv[1:]:
+    with open(path) as f:
+        report = json.load(f)
+    missing = [key for key in ("generated_by", "build_type", "tainted",
+                               "host_cpus") if key not in report]
+    if missing:
+        sys.exit(f"report stamp: {path} lacks {', '.join(missing)}")
+    print(f"report stamp: {path}: {report['build_type']}, "
+          f"tainted={report['tainted']}, host_cpus={report['host_cpus']}")
+PY
 
 echo "== tier-1: end-to-end benchmark smoke (both workloads, tiny suite) =="
 # The serving benchmark at a 300-example library for one second per run,
@@ -218,16 +233,16 @@ ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-asan/tests/exec_test"
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-asan/tests/exec_reference_test"
-# ANN differential smoke: the int8 quantized scan (aligned code buffers,
-# pointer-stride arithmetic) and the IVF probe path against the exact
-# store, plus the RetrievalIndex facade and the bound-pruned posting-list
-# search with its CSR rescore (minus its full-corpus replay), under
-# ASan+UBSan — an overread in a SIMD tail,
-# a stride miscalculation or a stray accumulator index fails here, not
-# in prod.
+# ANN differential smoke: IVF's int8 list scan (aligned code buffers,
+# pointer-stride arithmetic; the randomized grid and the seed-corpus
+# replay against the exact store) and its float probe path, plus the
+# RetrievalIndex facade and the bound-pruned posting-list search with
+# its CSR rescore (minus its full-corpus replay), under ASan+UBSan — an
+# overread in a SIMD tail, a stride miscalculation or a stray
+# accumulator index fails here, not in prod.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-asan/tests/retrieval_equivalence_test" \
-  --gtest_filter='QuantizedEquivalence.*:IvfEquivalence.*:RetrievalIndexFacade.*:PostingListEquivalence.*-PostingListEquivalence.DefaultSuite*'
+  --gtest_filter='IvfEquivalence.*:RetrievalIndexFacade.*:PostingListEquivalence.*-PostingListEquivalence.DefaultSuite*'
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-asan/tests/kernel_dispatch_test"
 

@@ -164,8 +164,8 @@ std::vector<VectorStore::Hit> IvfIndex::TopK(const Vector& query,
 
   if (options_.quantized_scan && codes_.size() == vectors_.size()) {
     // Approximate pass over probed lists + pending tail, then an exact
-    // float re-rank of the widened shortlist (same contract as
-    // VectorStore::TopKQuantized).
+    // float re-rank of the widened shortlist: the returned scores carry
+    // no quantization error.
     const std::size_t shortlist =
         ShortlistSize(std::min(k, vectors_.size()), vectors_.size(),
                       options_.rerank_factor, options_.rerank_slack);

@@ -73,12 +73,6 @@ std::size_t QuantizedVectors::Append(const float* row, std::size_t dim) {
   return index;
 }
 
-void QuantizedVectors::AppendRows(const FlatVectors& rows, std::size_t first) {
-  for (std::size_t i = first; i < rows.size(); ++i) {
-    Append(rows.row(i), rows.row_size(i));
-  }
-}
-
 QuantizedVectors::Query QuantizedVectors::QuantizeQuery(const Vector& q) {
   Query out;
   out.dim = q.size();

@@ -7,7 +7,6 @@
 
 #include "embed/aligned_buffer.h"
 #include "embed/embedder.h"
-#include "embed/flat_vectors.h"
 
 namespace gred::embed {
 
@@ -28,8 +27,8 @@ namespace gred::embed {
 /// for L2-normalized rows that keeps the score error well below 1e-2 —
 /// enough to rank a shortlist, never enough to be served directly.
 /// Callers therefore always re-rank a widened shortlist with the exact
-/// float kernel (VectorStore::TopKQuantized, IvfIndex); the quantized
-/// score never leaves the scan.
+/// float kernel (IvfIndex's quantized_scan); the quantized score never
+/// leaves the scan.
 ///
 /// Codes live in one contiguous 32-byte-aligned buffer at a stride
 /// rounded to kRowAlignBytes, mirroring FlatVectors' layout; row metadata
@@ -49,10 +48,6 @@ class QuantizedVectors {
   /// returns the row index. `dim` must not exceed kMaxCodeDot.
   std::size_t Append(const float* row, std::size_t dim);
 
-  /// Appends every row of `rows` starting at `first` (library catch-up
-  /// after a batch of Adds).
-  void AppendRows(const FlatVectors& rows, std::size_t first);
-
   /// Quantizes a (normalized) query with the same scheme.
   static Query QuantizeQuery(const Vector& q);
 
@@ -65,13 +60,6 @@ class QuantizedVectors {
   std::size_t size() const { return dims_.size(); }
   std::size_t stride() const { return stride_; }
   bool empty() const { return dims_.empty(); }
-
-  /// Bytes of code + metadata storage per row (memory accounting for
-  /// the bench report; the float library it shadows pays 4x per dim).
-  std::size_t bytes_per_row() const {
-    return stride_ * sizeof(std::uint8_t) + sizeof(float) * 2 +
-           sizeof(std::int32_t) + sizeof(std::uint32_t);
-  }
 
  private:
   std::vector<std::uint8_t, AlignedAllocator<std::uint8_t>> codes_;

@@ -15,13 +15,12 @@ namespace gred::embed {
 
 /// Which search machinery answers a retrieval query.
 enum class RetrievalBackend {
-  kExact = 0,      // bound-pruned posting lists (bit-identical to the
-                   // dense VectorStore::TopK scan)
-  kQuantized = 1,  // int8 scan + exact re-rank of a widened shortlist
-  kIvf = 2,        // IVF multi-probe (+ int8 list scans) + exact re-rank
+  kExact = 0,  // bound-pruned posting lists (bit-identical to the dense
+               // VectorStore::TopK scan)
+  kIvf = 1,    // IVF multi-probe (+ int8 list scans) + exact re-rank
 };
 
-/// Stable names ("exact", "quantized", "ivf") for env/config/report use.
+/// Stable names ("exact", "ivf") for env/config/report use.
 const char* RetrievalBackendName(RetrievalBackend backend);
 
 /// Configuration of a RetrievalIndex.
@@ -30,10 +29,9 @@ const char* RetrievalBackendName(RetrievalBackend backend);
 /// (Gred's NLQ/DVQ libraries, eval, `gredvis serve`) constructs its
 /// indexes through it, so one environment variable flips the whole
 /// pipeline between exact and approximate retrieval:
-///   GRED_RETRIEVAL_BACKEND   exact | quantized | ivf   (default exact)
-///   GRED_RETRIEVAL_PROBES    IVF probe count            (default 8)
+///   GRED_RETRIEVAL_BACKEND   exact | ivf              (default exact)
+///   GRED_RETRIEVAL_PROBES    IVF probe count           (default 8)
 ///   GRED_RETRIEVAL_CLUSTERS  IVF cluster count, 0 = auto ~sqrt(n)
-///   GRED_RETRIEVAL_RERANK    shortlist widening factor  (default 4)
 /// Invalid values, including set-but-empty ones, print a message and
 /// exit(2) (util/env.h: a mistyped knob must not silently fall back and
 /// burn a run on the wrong configuration). The default is exact, whose hits
@@ -42,9 +40,6 @@ const char* RetrievalBackendName(RetrievalBackend backend);
 /// as a dense scan would.
 struct RetrievalConfig {
   RetrievalBackend backend = RetrievalBackend::kExact;
-  /// Quantized-backend shortlist widening (see ShortlistSize).
-  std::size_t rerank_factor = 4;
-  std::size_t rerank_slack = 32;
   /// IVF-backend options. FromEnv sets quantized_scan so the IVF
   /// backend scans probed lists over int8 codes by default.
   IvfIndex::Options ivf;
@@ -53,9 +48,8 @@ struct RetrievalConfig {
 };
 
 /// The retrieval surface behind ExampleIndex/DvqIndex: one API over the
-/// exact posting-list store, the quantized store, and the IVF index, so
-/// the embedding libraries pick their backend from configuration instead
-/// of code. The exact backend keeps no dense copy of the library: it
+/// exact posting-list store and the IVF index, so the embedding
+/// libraries pick their backend from configuration instead of code. The exact backend keeps no dense copy of the library: it
 /// stores each row's non-zeros as a CSR row plus posting lists for the
 /// selective dimensions (PostingListStore), rescores only the rows whose
 /// score bound can reach the top-k, and returns VectorStore::TopK's hits
@@ -64,12 +58,12 @@ struct RetrievalConfig {
 /// Usage: Add() every library vector, Seal() once, then TopK() freely
 /// (TopK is const and thread-safe after Seal). Vectors Added after
 /// Seal() remain retrievable immediately — the exact backend appends to
-/// its light posting lists and heavy norms, the quantized backend
-/// shadows each new row on insert and the IVF backend scans its pending
-/// tail exactly until its growth policy triggers a warm-started retrain.
+/// its light posting lists and heavy norms, and the IVF backend scans its
+/// pending tail exactly until its growth policy triggers a warm-started
+/// retrain.
 /// Hit indexes are insertion indexes; scores are always exact
-/// float-kernel scores (approximate backends re-rank with the exact
-/// kernel before returning).
+/// float-kernel scores (the IVF backend re-ranks with the exact kernel
+/// before returning).
 class RetrievalIndex {
  public:
   explicit RetrievalIndex(RetrievalConfig config = {});
@@ -79,10 +73,9 @@ class RetrievalIndex {
 
   /// Finishes the build phase: splits the exact backend's dimensions
   /// into posting-listed and heavy ones (an unsealed exact index answers
-  /// exactly but by a full rescore), quantizes any unshadowed rows, or
-  /// trains the IVF lists. Idempotent; must be called before the first
-  /// TopK on the IVF backend (an unsealed IVF index has no lists and
-  /// returns no hits).
+  /// exactly but by a full rescore), or trains the IVF lists. Idempotent;
+  /// must be called before the first TopK on the IVF backend (an unsealed
+  /// IVF index has no lists and returns no hits).
   void Seal();
 
   /// Top-k most similar stored vectors, best first; exact-kernel scores,
@@ -96,7 +89,6 @@ class RetrievalIndex {
  private:
   RetrievalConfig config_;
   PostingListStore postings_;  // exact backend
-  VectorStore store_;          // quantized backend
   IvfIndex ivf_;               // ivf backend
 };
 

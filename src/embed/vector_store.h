@@ -8,7 +8,6 @@
 #include "embed/embedder.h"
 #include "embed/flat_vectors.h"
 #include "embed/kernel.h"
-#include "embed/quantized_vectors.h"
 
 namespace gred::embed {
 
@@ -18,8 +17,7 @@ namespace gred::embed {
 /// split, retrieved by cosine similarity at generation/retune time) is
 /// served by RetrievalIndex, whose default exact backend is the sparse
 /// PostingListStore. This dense scan is the oracle that backend is
-/// tested against bit for bit, and the float storage behind the
-/// quantized backend's re-rank. Vectors are L2-normalized on insert so
+/// tested against bit for bit. Vectors are L2-normalized on insert so
 /// similarity is a dot product.
 ///
 /// Storage is a flat SoA buffer (FlatVectors) scanned with the
@@ -28,42 +26,16 @@ namespace gred::embed {
 /// differs from a stored vector's scores 0 against it (the
 /// CosineSimilarity contract) instead of being dotted against the
 /// vector's prefix.
-///
-/// Beyond the exact scan, the store can shadow its rows with int8
-/// scalar-quantized codes (EnsureQuantized) and answer TopKQuantized: an
-/// approximate 1-byte-per-dimension scan selects a widened shortlist,
-/// which is then re-ranked with the exact float kernel. Whenever the
-/// true top-k all land in the shortlist — overwhelmingly the common case
-/// at the default widening — the returned hits are bit-identical to
-/// TopK: same indexes, same order, same float-kernel scores.
 class VectorStore {
  public:
   using Hit = embed::Hit;
 
-  /// Adds a vector; returns its insertion index. New rows are not
-  /// quantized until the next EnsureQuantized().
+  /// Adds a vector; returns its insertion index.
   std::size_t Add(Vector v);
 
   /// Exact top-`k` by cosine similarity, highest first. Ties break by
   /// lower insertion index (deterministic).
   std::vector<Hit> TopK(const Vector& query, std::size_t k) const;
-
-  /// Quantizes rows appended since the last call (all rows on the first
-  /// call). Not thread-safe against concurrent queries; call it after
-  /// the build phase, before serving (RetrievalIndex::Seal does).
-  void EnsureQuantized();
-
-  /// Approximate scan over the int8 codes selecting a `shortlist`-sized
-  /// candidate set, then an exact float re-rank of the shortlist down to
-  /// `k`. Requires EnsureQuantized() to have covered every row.
-  /// `shortlist` is clamped to [k, size()]. Returned scores are exact
-  /// (float-kernel) scores; order matches TopK whenever the shortlist
-  /// contains the true top-k.
-  std::vector<Hit> TopKQuantized(const Vector& query, std::size_t k,
-                                 std::size_t shortlist) const;
-
-  /// Whether the quantized shadow covers every row.
-  bool quantized() const { return codes_.size() == rows_.size(); }
 
   std::size_t size() const { return rows_.size(); }
 
@@ -75,10 +47,9 @@ class VectorStore {
 
  private:
   FlatVectors rows_;
-  QuantizedVectors codes_;
 };
 
-/// Shortlist width for a quantized or IVF search: `k` widened by
+/// Shortlist width for IVF's int8 list scan: `k` widened by
 /// `factor` plus `slack` fixed extra candidates, clamped to the library
 /// size. The slack floor keeps small-k searches honest (k=1 with only
 /// 4 candidates would make re-rank exactness a coin flip); the factor

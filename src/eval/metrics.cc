@@ -1,13 +1,12 @@
 #include "eval/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <future>
 
 #include "analysis/analyzer.h"
 #include "dvq/components.h"
 #include "exec/executor.h"
+#include "util/env.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
 
@@ -22,16 +21,7 @@ double Ratio(std::size_t num, std::size_t den) {
 }  // namespace
 
 std::size_t DefaultEvalThreads() {
-  const char* value = std::getenv("GRED_BENCH_THREADS");
-  if (value != nullptr) {
-    std::optional<std::size_t> parsed = strings::ParsePositiveSize(value);
-    if (parsed.has_value()) return *parsed;
-    std::fprintf(stderr,
-                 "[eval] ignoring invalid GRED_BENCH_THREADS=\"%s\" "
-                 "(want a positive integer); using hardware concurrency\n",
-                 value);
-  }
-  return HardwareThreads();
+  return EnvSizeOrDie("GRED_BENCH_THREADS", HardwareThreads());
 }
 
 double MetricCounts::VisAcc() const { return Ratio(vis, total); }

@@ -120,9 +120,9 @@ struct EvalOptions {
 };
 
 /// Worker count used when `EvalOptions::num_threads == 0`: the
-/// `GRED_BENCH_THREADS` environment override when it parses as a
-/// positive integer (a warning is printed and the override ignored
-/// otherwise), else HardwareThreads() (the CPUs in the affinity mask).
+/// `GRED_BENCH_THREADS` environment override, else HardwareThreads()
+/// (the CPUs in the affinity mask). A set override that is not a
+/// positive integer prints a message and exits(2) (util/env.h).
 std::size_t DefaultEvalThreads();
 
 /// Scores one prediction against the target (component metrics).

@@ -17,8 +17,8 @@ namespace gred::models {
 /// training distribution); GRED builds it with the semantic embedder
 /// (Section 4.1's embedding vector library).
 ///
-/// Search runs through embed::RetrievalIndex, so the backend (exact,
-/// int8 quantized scan, or IVF multi-probe) is chosen by the
+/// Search runs through embed::RetrievalIndex, so the backend (exact or
+/// IVF multi-probe) is chosen by the
 /// `config` argument — by default, the GRED_RETRIEVAL_* environment
 /// knobs. The default backend is exact (per-dimension posting lists),
 /// whose hits are bit-identical to a dense scan of the library.

@@ -268,7 +268,7 @@ struct ServerStats {
 /// Determinism: with include_timings=false and every resilience knob
 /// off (no watermarks, no rate limiting, no reloads), concurrent
 /// responses are byte-identical to a serial Handle() replay of the same
-/// requests (asserted by serve_test, serve_sweep and chaos_sweep).
+/// requests (asserted by serve_test and chaos_sweep).
 class Server {
  public:
   /// `suite` resolves database names; `gred` is the shared translation

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <string>
 
 #include "dataset/benchmark.h"
 #include "dvq/parser.h"
@@ -294,6 +296,26 @@ TEST(ParallelHarness, TimingSinkCountsEveryExample) {
   EXPECT_EQ(timing.translate.count(), suite.test_clean.size());
   EXPECT_EQ(timing.execute.count(), suite.test_clean.size());
   EXPECT_GE(timing.translate.nanos(), 0);
+}
+
+// A mistyped GRED_BENCH_THREADS must abort (util/env.h's exit-2
+// contract), not fall back to every core: `gredvis eval` and the
+// examples reach DefaultEvalThreads without validating it first.
+TEST(EvalDeathTest, DefaultThreadsRejectsInvalidBenchThreads) {
+  const char* kVar = "GRED_BENCH_THREADS";
+  const char* saved = std::getenv(kVar);
+  const std::string restore = saved != nullptr ? saved : "";
+  for (const char* bad : {"0", "-2", "four", ""}) {
+    setenv(kVar, bad, /*overwrite=*/1);
+    EXPECT_EXIT((void)DefaultEvalThreads(), ::testing::ExitedWithCode(2),
+                "GRED_BENCH_THREADS")
+        << "'" << bad << "'";
+  }
+  if (saved != nullptr) {
+    setenv(kVar, restore.c_str(), /*overwrite=*/1);
+  } else {
+    unsetenv(kVar);
+  }
 }
 
 }  // namespace

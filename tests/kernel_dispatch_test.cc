@@ -187,7 +187,9 @@ TEST(AlignedLayout, QuantizedRowsShareTheStrideInvariant) {
   FlatVectors rows;
   for (int i = 0; i < 5; ++i) rows.Append(RandomVector(&rng, 48));
   QuantizedVectors codes;
-  codes.AppendRows(rows, 0);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    codes.Append(rows.row(i), rows.row_size(i));
+  }
   EXPECT_EQ(codes.size(), rows.size());
   EXPECT_EQ(codes.stride() % kRowAlignBytes, 0u);
   EXPECT_GE(codes.stride(), 48u);

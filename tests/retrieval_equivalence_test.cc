@@ -16,8 +16,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -194,75 +196,6 @@ TEST(FlatStoreEquivalence, IvfProbeAllIsBitIdenticalToExactStore) {
   }
 }
 
-TEST(QuantizedEquivalence, ReRankMatchesExactTopKOnSeedCorpus) {
-  // The int8 scan's promise: on the benchmark's own NLQ distribution,
-  // the widened-shortlist re-rank returns *bit-identical* hits to the
-  // exact scan — same indexes, same order, same float-kernel scores.
-  // The run here is the ANN differential smoke scripts/tier1.sh drives
-  // under ASan+UBSan.
-  dataset::BenchmarkOptions options;
-  options.train_size = 600;
-  options.test_size = 60;
-  dataset::BenchmarkSuite suite = dataset::BuildBenchmarkSuite(options);
-  SemanticHashEmbedder embedder;
-  VectorStore store;
-  for (const dataset::Example& ex : suite.train) {
-    store.Add(embedder.Embed(ex.nlq));
-  }
-  store.EnsureQuantized();
-  const std::size_t k = 10;
-  const std::size_t shortlist = ShortlistSize(k, store.size(), 4, 32);
-  for (const dataset::Example& ex : suite.test_nlq) {
-    Vector q = embedder.Embed(ex.nlq_rob.empty() ? ex.nlq : ex.nlq_rob);
-    ExpectBitIdentical(store.TopKQuantized(q, k, shortlist),
-                       store.TopK(q, k));
-  }
-}
-
-TEST(QuantizedEquivalence, RandomizedReRankMatchesExact) {
-  Rng rng(71);
-  for (std::size_t n : {std::size_t{1}, std::size_t{50}, std::size_t{400}}) {
-    VectorStore store;
-    for (std::size_t i = 0; i < n; ++i) store.Add(RandomVector(&rng, 64));
-    store.EnsureQuantized();
-    for (int qi = 0; qi < 10; ++qi) {
-      Vector q = RandomVector(&rng, 64);
-      for (std::size_t k : {std::size_t{1}, std::size_t{10}, n}) {
-        ExpectBitIdentical(
-            store.TopKQuantized(q, k, ShortlistSize(k, n, 4, 32)),
-            store.TopK(q, k));
-      }
-    }
-  }
-}
-
-TEST(QuantizedEquivalence, DegenerateInputs) {
-  VectorStore store;
-  store.EnsureQuantized();
-  EXPECT_TRUE(store.TopKQuantized({1.0f, 0.0f}, 5, 10).empty());  // empty
-
-  store.Add({1.0f, 0.0f});
-  store.Add(Vector(2, 0.0f));  // all-zero row quantizes to scale 0
-  store.Add({0.0f, 1.0f});
-  store.EnsureQuantized();
-  EXPECT_TRUE(store.TopKQuantized({1.0f, 0.0f}, 0, 10).empty());  // k = 0
-
-  // Dimension mismatch: every score exactly 0, index-ordered (the
-  // CosineSimilarity contract through the quantized path).
-  std::vector<Hit> mismatched =
-      store.TopKQuantized({1.0f, 0.0f, 0.0f}, 3, 10);
-  ASSERT_EQ(mismatched.size(), 3u);
-  for (std::size_t i = 0; i < mismatched.size(); ++i) {
-    EXPECT_EQ(mismatched[i].index, i);
-    EXPECT_EQ(mismatched[i].score, 0.0);
-  }
-
-  // All-zero query: same contract.
-  std::vector<Hit> zero = store.TopKQuantized(Vector(2, 0.0f), 3, 10);
-  ASSERT_EQ(zero.size(), 3u);
-  for (const Hit& hit : zero) EXPECT_EQ(hit.score, 0.0);
-}
-
 TEST(IvfEquivalence, QuantizedScanProbeAllMatchesExactStore) {
   // IVF with quantized list scans, probing every cluster: the shortlist
   // covers everything the exact scan sees, so after the exact re-rank
@@ -283,6 +216,63 @@ TEST(IvfEquivalence, QuantizedScanProbeAllMatchesExactStore) {
   for (int qi = 0; qi < 10; ++qi) {
     Vector q = RandomVector(&rng, 24);
     ExpectBitIdentical(index.TopK(q, 15), exact.TopK(q, 15));
+  }
+}
+
+/// An IVF index that probes every cluster and scans its lists over int8
+/// codes: the one path that still runs QuantizedVectors, and one whose
+/// widened shortlist re-rank must return the exact store's hits.
+IvfIndex ProbeAllInt8Ivf() {
+  IvfIndex::Options options;
+  options.num_clusters = 4;
+  options.num_probes = 4;
+  options.quantized_scan = true;
+  return IvfIndex(options);
+}
+
+TEST(IvfEquivalence, ProbeAllInt8ScanMatchesExactOnSeedCorpus) {
+  // The int8 scan's promise: on the benchmark's own NLQ distribution,
+  // the widened-shortlist re-rank returns *bit-identical* hits to the
+  // exact scan — same indexes, same order, same float-kernel scores.
+  // The run here is the ANN differential smoke scripts/tier1.sh drives
+  // under ASan+UBSan.
+  dataset::BenchmarkOptions options;
+  options.train_size = 600;
+  options.test_size = 60;
+  dataset::BenchmarkSuite suite = dataset::BuildBenchmarkSuite(options);
+  SemanticHashEmbedder embedder;
+  IvfIndex index = ProbeAllInt8Ivf();
+  VectorStore store;
+  for (const dataset::Example& ex : suite.train) {
+    Vector v = embedder.Embed(ex.nlq);
+    index.Add(v);
+    store.Add(std::move(v));
+  }
+  index.Build();
+  const std::size_t k = 10;
+  for (const dataset::Example& ex : suite.test_nlq) {
+    Vector q = embedder.Embed(ex.nlq_rob.empty() ? ex.nlq : ex.nlq_rob);
+    ExpectBitIdentical(index.TopK(q, k), store.TopK(q, k));
+  }
+}
+
+TEST(IvfEquivalence, RandomizedProbeAllInt8ScanMatchesExact) {
+  Rng rng(71);
+  for (std::size_t n : {std::size_t{1}, std::size_t{50}, std::size_t{400}}) {
+    IvfIndex index = ProbeAllInt8Ivf();
+    VectorStore store;
+    for (std::size_t i = 0; i < n; ++i) {
+      Vector v = RandomVector(&rng, 64);
+      index.Add(v);
+      store.Add(std::move(v));
+    }
+    index.Build();
+    for (int qi = 0; qi < 10; ++qi) {
+      Vector q = RandomVector(&rng, 64);
+      for (std::size_t k : {std::size_t{1}, std::size_t{10}, n}) {
+        ExpectBitIdentical(index.TopK(q, k), store.TopK(q, k));
+      }
+    }
   }
 }
 
@@ -332,16 +322,15 @@ TEST(RetrievalIndexFacade, ExactBackendBitIdenticalToVectorStore) {
 }
 
 TEST(RetrievalIndexFacade, AllBackendsReturnExactScoresAndAgreeHere) {
-  // On a small library every backend's shortlist covers the whole store,
-  // so all three must agree bit-for-bit (scores are always exact-kernel
+  // On a small library the IVF shortlist covers the whole store, so both
+  // backends must agree bit-for-bit (scores are always exact-kernel
   // scores by the re-rank contract).
   Rng rng(93);
   std::vector<Vector> vectors;
   for (int i = 0; i < 120; ++i) vectors.push_back(RandomVector(&rng, 16));
   std::vector<RetrievalIndex> indexes;
   for (RetrievalBackend backend :
-       {RetrievalBackend::kExact, RetrievalBackend::kQuantized,
-        RetrievalBackend::kIvf}) {
+       {RetrievalBackend::kExact, RetrievalBackend::kIvf}) {
     RetrievalConfig config;
     config.backend = backend;
     config.ivf.num_clusters = 4;
@@ -356,16 +345,13 @@ TEST(RetrievalIndexFacade, AllBackendsReturnExactScoresAndAgreeHere) {
   }
   for (int qi = 0; qi < 8; ++qi) {
     Vector q = RandomVector(&rng, 16);
-    std::vector<Hit> expected = indexes[0].TopK(q, 10);
-    ExpectBitIdentical(indexes[1].TopK(q, 10), expected);
-    ExpectBitIdentical(indexes[2].TopK(q, 10), expected);
+    ExpectBitIdentical(indexes[1].TopK(q, 10), indexes[0].TopK(q, 10));
   }
 }
 
 TEST(RetrievalIndexFacade, AddAfterSealStaysRetrievableOnEveryBackend) {
   for (RetrievalBackend backend :
-       {RetrievalBackend::kExact, RetrievalBackend::kQuantized,
-        RetrievalBackend::kIvf}) {
+       {RetrievalBackend::kExact, RetrievalBackend::kIvf}) {
     RetrievalConfig config;
     config.backend = backend;
     config.ivf.num_clusters = 2;
@@ -384,9 +370,26 @@ TEST(RetrievalIndexFacade, AddAfterSealStaysRetrievableOnEveryBackend) {
 
 TEST(RetrievalIndexFacade, BackendNamesAreStable) {
   EXPECT_STREQ(RetrievalBackendName(RetrievalBackend::kExact), "exact");
-  EXPECT_STREQ(RetrievalBackendName(RetrievalBackend::kQuantized),
-               "quantized");
   EXPECT_STREQ(RetrievalBackendName(RetrievalBackend::kIvf), "ivf");
+}
+
+TEST(RetrievalConfigDeathTest, UnknownBackendExitsTwo) {
+  // The retired int8 "quantized" backend is now an invalid value like
+  // any other typo.
+  const char* kVar = "GRED_RETRIEVAL_BACKEND";
+  const char* saved = std::getenv(kVar);
+  const std::string restore = saved != nullptr ? saved : "";
+  for (const char* bad : {"quantized", "dense", ""}) {
+    setenv(kVar, bad, /*overwrite=*/1);
+    EXPECT_EXIT((void)RetrievalConfig::FromEnv(),
+                ::testing::ExitedWithCode(2), "GRED_RETRIEVAL_BACKEND")
+        << "'" << bad << "'";
+  }
+  if (saved != nullptr) {
+    setenv(kVar, restore.c_str(), /*overwrite=*/1);
+  } else {
+    unsetenv(kVar);
+  }
 }
 
 /// A vector with roughly `density` of its entries non-zero, like the
