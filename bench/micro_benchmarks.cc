@@ -44,8 +44,11 @@ BENCHMARK(BM_Embed);
 void BM_VectorStoreTopK(benchmark::State& state) {
   gred::embed::SemanticHashEmbedder embedder;
   gred::embed::VectorStore store;
-  for (const auto& ex : Suite().train) store.Add(embedder.Embed(ex.nlq));
-  gred::embed::Vector query = embedder.Embed(Suite().test_clean[0].nlq);
+  for (const auto& ex : Suite().train) {
+    store.Add(gred::embed::Densify(embedder.Embed(ex.nlq)));
+  }
+  gred::embed::Vector query =
+      gred::embed::Densify(embedder.Embed(Suite().test_clean[0].nlq));
   for (auto _ : state) {
     benchmark::DoNotOptimize(store.TopK(query, state.range(0)));
   }
@@ -63,7 +66,7 @@ void BM_PostingListStoreTopK(benchmark::State& state) {
   gred::embed::PostingListStore store;
   for (const auto& ex : Suite().train) store.Add(embedder.Embed(ex.nlq));
   store.Seal();
-  gred::embed::Vector query = embedder.Embed(Suite().test_clean[0].nlq);
+  gred::embed::SparseRow query = embedder.Embed(Suite().test_clean[0].nlq);
   for (auto _ : state) {
     benchmark::DoNotOptimize(store.TopK(query, state.range(0)));
   }
@@ -79,7 +82,7 @@ void BM_PostingListStoreTopKDvq(benchmark::State& state) {
   gred::embed::PostingListStore store;
   for (const auto& ex : Suite().train) store.Add(embedder.Embed(ex.DvqText()));
   store.Seal();
-  gred::embed::Vector query =
+  gred::embed::SparseRow query =
       embedder.Embed(Suite().test_clean[0].DvqText());
   for (auto _ : state) {
     benchmark::DoNotOptimize(store.TopK(query, state.range(0)));
@@ -88,6 +91,29 @@ void BM_PostingListStoreTopKDvq(benchmark::State& state) {
                           static_cast<std::int64_t>(store.size()));
 }
 BENCHMARK(BM_PostingListStoreTopKDvq)->Arg(1)->Arg(10)->Arg(50);
+
+// Library build cost of the exact backend: Add + Seal of the default
+// 6000-row NLQ library from rows embedded once up front, so the time is
+// the store's alone (EmbedLibrary embeds on every core before it Adds).
+void BM_PostingListStoreBuild(benchmark::State& state) {
+  static const std::vector<gred::embed::SparseRow>* const kRows = [] {
+    const BenchmarkSuite suite =
+        gred::dataset::BuildBenchmarkSuite(BenchmarkOptions{});
+    gred::embed::SemanticHashEmbedder embedder;
+    auto* rows = new std::vector<gred::embed::SparseRow>();
+    for (const auto& ex : suite.train) rows->push_back(embedder.Embed(ex.nlq));
+    return rows;
+  }();
+  for (auto _ : state) {
+    gred::embed::PostingListStore store;
+    for (const gred::embed::SparseRow& row : *kRows) store.Add(row);
+    store.Seal();
+    benchmark::DoNotOptimize(store.size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kRows->size()));
+}
+BENCHMARK(BM_PostingListStoreBuild)->Unit(benchmark::kMillisecond);
 
 // Cache-hit path of the shared embedding cache: every eval thread embeds
 // repeated NLQs during fault sweeps and k-sweeps.
@@ -107,9 +133,12 @@ void BM_IvfIndexTopK(benchmark::State& state) {
   gred::embed::IvfIndex::Options options;
   options.num_probes = static_cast<std::size_t>(state.range(0));
   gred::embed::IvfIndex index(options);
-  for (const auto& ex : Suite().train) index.Add(embedder.Embed(ex.nlq));
+  for (const auto& ex : Suite().train) {
+    index.Add(gred::embed::Densify(embedder.Embed(ex.nlq)));
+  }
   index.Build();
-  gred::embed::Vector query = embedder.Embed(Suite().test_clean[0].nlq);
+  gred::embed::Vector query =
+      gred::embed::Densify(embedder.Embed(Suite().test_clean[0].nlq));
   for (auto _ : state) {
     benchmark::DoNotOptimize(index.TopK(query, 10));
   }

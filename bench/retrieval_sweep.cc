@@ -140,36 +140,43 @@ int main(int argc, char** argv) {
   const double corpus_s = Seconds(corpus_start);
 
   // --- Embedding ---------------------------------------------------------
+  // One copy of the library, as the embedder's sparse rows. The dense
+  // consumers (the oracle and IVF) densify one row at a time as they add
+  // it, and the rows are freed after the last Add.
   embed::SemanticHashEmbedder embedder;
   const auto embed_start = std::chrono::steady_clock::now();
-  std::vector<embed::Vector> vectors;
-  vectors.reserve(library.size());
-  for (const std::string& nlq : library) {
-    vectors.push_back(embedder.Embed(nlq));
-  }
-  std::vector<embed::Vector> queries;
+  std::vector<embed::SparseRow> rows;
+  rows.reserve(library.size());
+  for (const std::string& nlq : library) rows.push_back(embedder.Embed(nlq));
+  std::vector<embed::SparseRow> queries;
+  std::vector<embed::Vector> dense_queries;
   queries.reserve(query_texts.size());
+  dense_queries.reserve(query_texts.size());
   for (const std::string& nlq : query_texts) {
     queries.push_back(embedder.Embed(nlq));
+    dense_queries.push_back(embed::Densify(queries.back()));
   }
   const double embed_s = Seconds(embed_start);
 
   // --- Index builds ------------------------------------------------------
   const auto exact_start = std::chrono::steady_clock::now();
   embed::RetrievalIndex exact;  // default config: the exact backend
-  for (const embed::Vector& v : vectors) exact.Add(v);
+  for (const embed::SparseRow& row : rows) exact.Add(row);
   exact.Seal();
   const double exact_s = Seconds(exact_start);
 
   // The dense scan: the exact backend's bit-identity oracle.
   embed::VectorStore dense;
-  for (const embed::Vector& v : vectors) dense.Add(v);
-
   embed::IvfIndex::Options ivf_options;
   ivf_options.num_clusters = 0;  // auto ~sqrt(n)
   ivf_options.quantized_scan = true;
   embed::IvfIndex ivf(ivf_options);
-  for (const embed::Vector& v : vectors) ivf.Add(v);
+  for (const embed::SparseRow& row : rows) {
+    embed::Vector v = embed::Densify(row);
+    dense.Add(v);
+    ivf.Add(std::move(v));
+  }
+  std::vector<embed::SparseRow>().swap(rows);
   const auto ivf_start = std::chrono::steady_clock::now();
   ivf.Build();
   const double ivf_build_s = Seconds(ivf_start);
@@ -188,7 +195,7 @@ int main(int argc, char** argv) {
     double recall_sum = 0.0;
     for (std::size_t qi = 0; qi < queries.size(); ++qi) {
       const auto start = std::chrono::steady_clock::now();
-      std::vector<embed::Hit> hits = top_k(queries[qi]);
+      std::vector<embed::Hit> hits = top_k(qi);
       latencies.push_back(Seconds(start) * 1e6);
       if (backend == "exact") {
         truth[qi] = hits;  // ground truth for every later point
@@ -208,12 +215,11 @@ int main(int argc, char** argv) {
     frontier.push_back(point);
   };
 
-  run_point("exact", 0, [&](const embed::Vector& q) {
-    return exact.TopK(q, k);
-  });
+  run_point("exact", 0,
+            [&](std::size_t qi) { return exact.TopK(queries[qi], k); });
   std::size_t mismatched = 0;
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-    if (!SameHits(truth[qi], dense.TopK(queries[qi], k))) ++mismatched;
+    if (!SameHits(truth[qi], dense.TopK(dense_queries[qi], k))) ++mismatched;
   }
   if (mismatched > 0) {
     std::fprintf(stderr,
@@ -228,8 +234,8 @@ int main(int argc, char** argv) {
   }
   for (std::size_t probes : probe_sweep) {
     ivf.set_num_probes(probes);
-    run_point("ivf", probes, [&](const embed::Vector& q) {
-      return ivf.TopK(q, k);
+    run_point("ivf", probes, [&](std::size_t qi) {
+      return ivf.TopK(dense_queries[qi], k);
     });
   }
 

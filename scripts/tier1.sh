@@ -8,7 +8,7 @@
 # preparatory phase (ParallelFor, suite and library builds) and the
 # fault-tolerance layer, whose retry + degradation paths exercise the
 # annotation cache and stage timers concurrently), and an ASan+UBSan
-# pass over the fuzz, guard and retrieval tests.
+# pass over the fuzz, guard, retrieval and embedding tests.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -163,7 +163,8 @@ TSAN_OPTIONS="halt_on_error=1" "$ROOT/build-tsan/tests/llm_test" \
 TSAN_OPTIONS="halt_on_error=1" "$ROOT/build-tsan/tests/gred_test" \
   --gtest_filter='*Degraded*:*RetryRecovers*:*GeneratorFailure*:*ConcurrentRuns*'
 # RetrievalIndexFacade.* includes both exact-backend TopK hammers, one
-# over a sealed real NLQ library.
+# over a sealed real NLQ library; CachingEmbedder.* hammers the sparse-row
+# cache from eight threads.
 TSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-tsan/tests/retrieval_equivalence_test" \
   --gtest_filter='CachingEmbedder.*:RetrievalIndexFacade.*'
@@ -204,7 +205,7 @@ cmake --build "$ROOT/build-asan" -j"$JOBS" \
   --target fuzz_test dvq_test resource_guard_test metamorphic_test \
            analysis_test repair_test json_test exec_test \
            exec_reference_test retrieval_equivalence_test \
-           kernel_dispatch_test
+           kernel_dispatch_test embed_test
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-asan/tests/fuzz_test"
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
@@ -245,5 +246,11 @@ ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   --gtest_filter='IvfEquivalence.*:RetrievalIndexFacade.*:PostingListEquivalence.*-PostingListEquivalence.DefaultSuite*'
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-asan/tests/kernel_dispatch_test"
+# The embedders write their buckets into per-thread scratch and emit
+# exactly sized sparse rows (uint16 dims) that every retrieval layer
+# indexes by; the sparse-row contract tests walk both embedders at
+# several dimensions, up to the uint16 limit, under ASan+UBSan.
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+  "$ROOT/build-asan/tests/embed_test" --gtest_filter='SparseEmbedding.*'
 
 echo "== tier-1: OK =="

@@ -11,7 +11,7 @@ CachingEmbedder::CachingEmbedder(std::unique_ptr<TextEmbedder> inner,
     : inner_(std::move(inner)),
       shards_(num_shards == 0 ? 1 : num_shards) {}
 
-Vector CachingEmbedder::Embed(const std::string& text) const {
+SparseRow CachingEmbedder::Embed(const std::string& text) const {
   const std::uint64_t fingerprint = Fnv1a64(text);
   Shard& shard =
       shards_[static_cast<std::size_t>(fingerprint % shards_.size())];
@@ -26,16 +26,14 @@ Vector CachingEmbedder::Embed(const std::string& text) const {
   // Miss (or fingerprint collision): compute outside the lock so slow
   // embeds never serialize other shard traffic; first insert wins.
   misses_.fetch_add(1, std::memory_order_relaxed);
-  Vector v = inner_->Embed(text);
+  SparseRow row = inner_->Embed(text);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto [it, inserted] =
-      shard.cache.emplace(fingerprint, std::make_pair(text, v));
-  if (!inserted && it->second.first != text) {
-    // Genuine 64-bit collision: keep the resident entry, serve this call
-    // from the fresh computation.
-    return v;
-  }
-  return it->second.second;
+  // A resident entry (a racing first touch, or a genuine 64-bit
+  // collision) stays; either way this call returns its own computation,
+  // which the deterministic inner embedder makes equal to any entry for
+  // the same text.
+  shard.cache.try_emplace(fingerprint, text, row);
+  return row;
 }
 
 CachingEmbedder::Stats CachingEmbedder::stats() const {

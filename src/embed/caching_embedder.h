@@ -15,6 +15,12 @@ namespace gred::embed {
 
 /// Thread-safe memoizing wrapper around a deterministic TextEmbedder.
 ///
+/// Entries are the inner embedder's sparse rows, kept as they come
+/// (exactly sized, ~600 bytes for a 512-dimension hash embedding rather
+/// than a 2 KiB dense vector); a hit returns a copy of the row. The cache
+/// is unbounded: every distinct text stays resident for the embedder's
+/// lifetime.
+///
 /// Repeated embeds of the same text are common: every eval thread embeds
 /// the same NLQs during fault sweeps and k-sweeps, and GRED's retuner
 /// re-embeds generator outputs that collide across examples. The cache is
@@ -30,7 +36,7 @@ class CachingEmbedder : public TextEmbedder {
   explicit CachingEmbedder(std::unique_ptr<TextEmbedder> inner,
                            std::size_t num_shards = 16);
 
-  Vector Embed(const std::string& text) const override;
+  SparseRow Embed(const std::string& text) const override;
   std::size_t dimension() const override { return inner_->dimension(); }
 
   struct Stats {
@@ -42,7 +48,7 @@ class CachingEmbedder : public TextEmbedder {
  private:
   struct Shard {
     std::mutex mu;
-    std::unordered_map<std::uint64_t, std::pair<std::string, Vector>> cache;
+    std::unordered_map<std::uint64_t, std::pair<std::string, SparseRow>> cache;
   };
 
   std::unique_ptr<TextEmbedder> inner_;

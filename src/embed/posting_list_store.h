@@ -10,9 +10,16 @@
 
 namespace gred::embed {
 
-/// An exact top-K cosine-similarity index over sparse vectors: each row's
+/// An exact top-K cosine-similarity index over sparse rows: each row's
 /// non-zeros as a CSR row (ascending dims + values), plus one posting
 /// list of (row, value) pairs for every *light* dimension.
+///
+/// Rows come in as the embedders emit them (SparseRow), and queries too:
+/// no dense vector is built on the build or query path. Add renormalizes a
+/// row over its non-zeros, which gives L2Normalize's bits for its dense
+/// vector (DESIGN.md §15), and appends it; a query is normalized the same
+/// way into per-thread dense scratch that is filled and cleared in
+/// O(nnz).
 ///
 /// Seal() decides which dimensions are light: a dimension whose list
 /// would cover at least half of the rows is heavy (a dense column of it
@@ -54,20 +61,22 @@ namespace gred::embed {
 /// A query whose dimension differs from a row's scores exactly 0 against
 /// it (the CosineSimilarity contract), and ties break by lower insertion
 /// index. TopK is const and thread-safe against other TopK calls; its
-/// per-row accumulators are reused per-thread scratch.
+/// per-row accumulators and dense query are reused per-thread scratch.
+/// Seal indexes rows on every core (util/thread_pool.h ParallelFor); the
+/// lists it builds do not depend on the thread count.
 class PostingListStore {
  public:
   /// Largest vector dimension a row may have (dims are stored as uint16).
-  static constexpr std::size_t kMaxDimension = std::size_t{1} << 16;
+  static constexpr std::size_t kMaxDimension = kMaxSparseDimension;
 
   /// Added to every row's score bound; covers the double rounding of the
   /// light sum, both heavy norms, their product and the rescored score
   /// (~4e-11 at kMaxDimension; DESIGN.md §15).
   static constexpr double kBoundSlack = 1e-9;
 
-  /// Adds a vector (L2-normalized); returns its insertion index. Aborts
-  /// if the vector has more than kMaxDimension entries.
-  std::size_t Add(Vector v);
+  /// Adds `row` (L2-normalized over its non-zeros); returns its insertion
+  /// index. Aborts if the row's dimension exceeds kMaxDimension.
+  std::size_t Add(const SparseRow& row);
 
   /// Rebuilds the light posting lists and heavy norms from the CSR rows,
   /// re-deciding which dimensions are heavy. Idempotent on a store that
@@ -76,7 +85,7 @@ class PostingListStore {
 
   /// Exact top-`k` by cosine similarity, highest first. Ties break by
   /// lower insertion index (deterministic).
-  std::vector<Hit> TopK(const Vector& query, std::size_t k) const;
+  std::vector<Hit> TopK(const SparseRow& query, std::size_t k) const;
 
   std::size_t size() const { return dims_.size(); }
 
@@ -90,13 +99,15 @@ class PostingListStore {
     return dim < light_.size() && light_[dim];
   }
 
-  /// Appends `row`'s light entries to their lists and records the norm of
-  /// its heavy entries. Add and Seal share it, so a row's heavy norm is
-  /// computed the same way whenever it is indexed.
-  void IndexRow(std::uint32_t row);
+  /// Hands each light entry of `row` (its CSR index) to `on_light` and
+  /// returns the norm of its heavy entries. Add and Seal share it, so a
+  /// row's heavy norm is computed the same way whenever it is indexed.
+  template <typename OnLight>
+  double IndexRow(std::uint32_t row, OnLight on_light) const;
 
-  /// The row's DotBlocked score against the normalized query `q`.
-  double Rescore(std::size_t row, const Vector& q) const;
+  /// The row's DotBlocked score against the normalized `dim`-dimensional
+  /// query `q` (dense).
+  double Rescore(std::size_t row, const float* q, std::size_t dim) const;
 
   std::vector<std::uint32_t> dims_;          // true dimension per row
   std::vector<std::uint32_t> row_begin_{0};  // CSR offsets, size() + 1

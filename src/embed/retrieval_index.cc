@@ -46,9 +46,9 @@ RetrievalConfig RetrievalConfig::FromEnv() {
 RetrievalIndex::RetrievalIndex(RetrievalConfig config)
     : config_(config), ivf_(config.ivf) {}
 
-std::size_t RetrievalIndex::Add(Vector v) {
-  if (config_.backend == RetrievalBackend::kIvf) return ivf_.Add(std::move(v));
-  return postings_.Add(std::move(v));
+std::size_t RetrievalIndex::Add(const SparseRow& row) {
+  if (config_.backend == RetrievalBackend::kIvf) return ivf_.Add(Densify(row));
+  return postings_.Add(row);
 }
 
 void RetrievalIndex::Seal() {
@@ -59,9 +59,11 @@ void RetrievalIndex::Seal() {
   }
 }
 
-std::vector<Hit> RetrievalIndex::TopK(const Vector& query,
+std::vector<Hit> RetrievalIndex::TopK(const SparseRow& query,
                                       std::size_t k) const {
-  if (config_.backend == RetrievalBackend::kIvf) return ivf_.TopK(query, k);
+  if (config_.backend == RetrievalBackend::kIvf) {
+    return ivf_.TopK(Densify(query), k);
+  }
   return postings_.TopK(query, k);
 }
 

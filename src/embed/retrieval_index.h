@@ -49,14 +49,17 @@ struct RetrievalConfig {
 
 /// The retrieval surface behind ExampleIndex/DvqIndex: one API over the
 /// exact posting-list store and the IVF index, so the embedding
-/// libraries pick their backend from configuration instead of code. The exact backend keeps no dense copy of the library: it
-/// stores each row's non-zeros as a CSR row plus posting lists for the
-/// selective dimensions (PostingListStore), rescores only the rows whose
-/// score bound can reach the top-k, and returns VectorStore::TopK's hits
-/// bit for bit.
+/// libraries pick their backend from configuration instead of code.
+/// Rows and queries are the embedders' sparse rows. The exact backend
+/// takes them as they are and never densifies: it stores each row's
+/// non-zeros as a CSR row plus posting lists for the selective
+/// dimensions (PostingListStore), rescores only the rows whose score
+/// bound can reach the top-k, and returns VectorStore::TopK's hits bit
+/// for bit. The IVF backend is dense; it densifies each row and query at
+/// its own boundary.
 ///
-/// Usage: Add() every library vector, Seal() once, then TopK() freely
-/// (TopK is const and thread-safe after Seal). Vectors Added after
+/// Usage: Add() every library row, Seal() once, then TopK() freely
+/// (TopK is const and thread-safe after Seal). Rows Added after
 /// Seal() remain retrievable immediately — the exact backend appends to
 /// its light posting lists and heavy norms, and the IVF backend scans its
 /// pending tail exactly until its growth policy triggers a warm-started
@@ -68,8 +71,8 @@ class RetrievalIndex {
  public:
   explicit RetrievalIndex(RetrievalConfig config = {});
 
-  /// Adds a vector (L2-normalized); returns its insertion index.
-  std::size_t Add(Vector v);
+  /// Adds a row (L2-normalized); returns its insertion index.
+  std::size_t Add(const SparseRow& row);
 
   /// Finishes the build phase: splits the exact backend's dimensions
   /// into posting-listed and heavy ones (an unsealed exact index answers
@@ -80,7 +83,7 @@ class RetrievalIndex {
 
   /// Top-k most similar stored vectors, best first; exact-kernel scores,
   /// insertion-index tie-break.
-  std::vector<Hit> TopK(const Vector& query, std::size_t k) const;
+  std::vector<Hit> TopK(const SparseRow& query, std::size_t k) const;
 
   std::size_t size() const;
   RetrievalBackend backend() const { return config_.backend; }

@@ -10,13 +10,14 @@ namespace gred::models {
 
 namespace {
 
-/// Rows embedded per batch: bounds the dense vectors held at once
-/// (512 floats = 2 KiB per row) while each batch still splits across
-/// every core.
+/// Rows embedded per batch: bounds the texts and sparse rows held at
+/// once while each batch still splits across every core.
 constexpr std::size_t kEmbedBatchRows = 1024;
 
-/// Embeds `text_of(row)` for every training row and adds the vectors to
-/// `index` in training order, one parallel batch at a time. Within a
+/// Embeds `text_of(row)` for every training row and adds the rows to
+/// `index` in training order, one parallel batch at a time. The embedder
+/// builds each row's non-zeros (the CSR row) on the batch's threads, so
+/// the serial Add only normalizes and appends O(nnz) per row. Within a
 /// batch, the first occurrence of each text is embedded before any repeat
 /// of it, so a memoizing embedder counts exactly the misses and hits of a
 /// serial row-by-row build: no two threads race on a text's first touch.
@@ -25,7 +26,7 @@ void EmbedLibrary(const std::vector<dataset::Example>& train,
                   const embed::TextEmbedder& embedder, TextOf text_of,
                   embed::RetrievalIndex* index) {
   std::vector<std::string> texts;
-  std::vector<embed::Vector> vectors;
+  std::vector<embed::SparseRow> embedded;
   std::vector<std::size_t> firsts;
   std::vector<std::size_t> repeats;
   std::unordered_set<std::string_view> seen;
@@ -33,7 +34,7 @@ void EmbedLibrary(const std::vector<dataset::Example>& train,
        begin += kEmbedBatchRows) {
     const std::size_t rows = std::min(kEmbedBatchRows, train.size() - begin);
     texts.resize(rows);
-    vectors.resize(rows);
+    embedded.resize(rows);
     ParallelFor(rows,
                 [&](std::size_t i) { texts[i] = text_of(train[begin + i]); });
     firsts.clear();
@@ -45,10 +46,10 @@ void EmbedLibrary(const std::vector<dataset::Example>& train,
     for (const std::vector<std::size_t>* pass : {&firsts, &repeats}) {
       ParallelFor(pass->size(), [&](std::size_t j) {
         const std::size_t i = (*pass)[j];
-        vectors[i] = embedder.Embed(texts[i]);
+        embedded[i] = embedder.Embed(texts[i]);
       });
     }
-    for (std::size_t i = 0; i < rows; ++i) index->Add(std::move(vectors[i]));
+    for (std::size_t i = 0; i < rows; ++i) index->Add(embedded[i]);
   }
   index->Seal();
 }
@@ -68,7 +69,7 @@ ExampleIndex::ExampleIndex(const std::vector<dataset::Example>* train,
 std::vector<ExampleIndex::Hit> ExampleIndex::TopK(const std::string& nlq,
                                                   std::size_t k) const {
   std::vector<Hit> out;
-  embed::Vector query = embedder_->Embed(nlq);
+  const embed::SparseRow query = embedder_->Embed(nlq);
   for (const embed::VectorStore::Hit& hit : index_.TopK(query, k)) {
     out.push_back(Hit{&(*train_)[hit.index], hit.score, hit.index});
   }
@@ -87,7 +88,7 @@ DvqIndex::DvqIndex(const std::vector<dataset::Example>* train,
 std::vector<DvqIndex::Hit> DvqIndex::TopK(const std::string& dvq_text,
                                           std::size_t k) const {
   std::vector<Hit> out;
-  embed::Vector query = embedder_->Embed(dvq_text);
+  const embed::SparseRow query = embedder_->Embed(dvq_text);
   for (const embed::VectorStore::Hit& hit : index_.TopK(query, k)) {
     out.push_back(Hit{&(*train_)[hit.index], hit.score, hit.index});
   }

@@ -36,7 +36,7 @@ Seq2Vis::Seq2Vis(const TrainingCorpus& corpus) : train_(corpus.train) {
   }
   // The memory is encoded exactly like the query will be.
   for (const dataset::Example& ex : *corpus.train) {
-    store_.Add(embedder_->Embed(Encode(ex.nlq)));
+    store_.Add(embed::Densify(embedder_->Embed(Encode(ex.nlq))));
   }
 }
 
@@ -60,7 +60,7 @@ Result<dvq::DVQ> Seq2Vis::Translate(const std::string& nlq,
                                     const storage::DatabaseData& db) const {
   (void)db;  // Seq2Vis decodes from memory; the schema plays no role.
   std::vector<embed::VectorStore::Hit> hits =
-      store_.TopK(embedder_->Embed(Encode(nlq)), 1);
+      store_.TopK(embed::Densify(embedder_->Embed(Encode(nlq))), 1);
   if (hits.empty()) {
     return Status::NotFound("Seq2Vis: empty training memory");
   }

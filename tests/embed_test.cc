@@ -1,11 +1,16 @@
-// Unit tests for the embedding models and the vector store.
+// Unit tests for the embedding models, their sparse-row contract and the
+// dense vector store.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "embed/ann_index.h"
 #include "embed/embedder.h"
+#include "embed/posting_list_store.h"
 #include "embed/vector_store.h"
 #include "util/rng.h"
 
@@ -18,42 +23,47 @@ double Norm(const Vector& v) {
   return std::sqrt(n);
 }
 
+/// The dense vector of `text`'s embedding.
+Vector Dense(const TextEmbedder& embedder, const std::string& text) {
+  return Densify(embedder.Embed(text));
+}
+
 TEST(Embedder, Deterministic) {
   SemanticHashEmbedder embedder;
-  Vector a = embedder.Embed("show the salary by department");
-  Vector b = embedder.Embed("show the salary by department");
+  SparseRow a = embedder.Embed("show the salary by department");
+  SparseRow b = embedder.Embed("show the salary by department");
   EXPECT_EQ(a, b);
 }
 
 TEST(Embedder, UnitNorm) {
   SemanticHashEmbedder embedder;
-  Vector v = embedder.Embed("average price per category");
+  Vector v = Dense(embedder, "average price per category");
   EXPECT_NEAR(Norm(v), 1.0, 1e-5);
   EXPECT_EQ(v.size(), embedder.dimension());
 }
 
 TEST(Embedder, EmptyTextIsZeroVector) {
   SemanticHashEmbedder embedder;
-  Vector v = embedder.Embed("");
+  Vector v = Dense(embedder, "");
   EXPECT_NEAR(Norm(v), 0.0, 1e-9);
 }
 
 TEST(Embedder, SynonymsLandCloseWithConceptFolding) {
   SemanticHashEmbedder semantic;
-  double syn = CosineSimilarity(semantic.Embed("the employee salary"),
-                                semantic.Embed("the worker wage"));
-  double unrelated = CosineSimilarity(semantic.Embed("the employee salary"),
-                                      semantic.Embed("flight departure"));
+  double syn = CosineSimilarity(Dense(semantic, "the employee salary"),
+                                Dense(semantic, "the worker wage"));
+  double unrelated = CosineSimilarity(Dense(semantic, "the employee salary"),
+                                      Dense(semantic, "flight departure"));
   EXPECT_GT(syn, unrelated + 0.2);
 }
 
 TEST(Embedder, LexicalVariantIgnoresSynonymy) {
   LexicalHashEmbedder lexical;
   SemanticHashEmbedder semantic;
-  double lex_syn = CosineSimilarity(lexical.Embed("the employee salary"),
-                                    lexical.Embed("the worker wage"));
-  double sem_syn = CosineSimilarity(semantic.Embed("the employee salary"),
-                                    semantic.Embed("the worker wage"));
+  double lex_syn = CosineSimilarity(Dense(lexical, "the employee salary"),
+                                    Dense(lexical, "the worker wage"));
+  double sem_syn = CosineSimilarity(Dense(semantic, "the employee salary"),
+                                    Dense(semantic, "the worker wage"));
   // The semantic embedder sees the paraphrase; the lexical one largely
   // does not — the asymmetry the robustness study hinges on.
   EXPECT_GT(sem_syn, lex_syn + 0.25);
@@ -61,8 +71,127 @@ TEST(Embedder, LexicalVariantIgnoresSynonymy) {
 
 TEST(Embedder, IdenticalTextMaxSimilarity) {
   SemanticHashEmbedder embedder;
-  Vector v = embedder.Embed("identical question");
+  Vector v = Dense(embedder, "identical question");
   EXPECT_NEAR(CosineSimilarity(v, v), 1.0, 1e-6);
+}
+
+// The sparse-row contract (embedder.h) that the caching embedder, the
+// posting-list store and every Densify boundary rely on.
+
+/// Texts that exercise every feature kind: tokens, concepts, trigrams,
+/// numbers, identifiers, DVQ syntax and a long run of repeats.
+const std::vector<std::string>& ContractTexts() {
+  static const std::vector<std::string> kTexts = {
+      "show the salary by department",
+      "What are cinema_name and open year in cinemas? Plot a bar chart.",
+      "Visualize BAR SELECT dept_name , AVG(salary) FROM employees GROUP BY "
+      "dept_name ORDER BY AVG(salary) DESC",
+      "x",
+      "the worker wage the worker wage the worker wage the worker wage",
+      "count of flights per departure city between 1999 and 2004"};
+  return kTexts;
+}
+
+/// Strictly ascending dims below the recorded dimension, one finite
+/// non-zero value each, exactly sized, unit length.
+void ExpectSparseContract(const SparseRow& row, std::size_t dimension,
+                          const std::string& text) {
+  SCOPED_TRACE(text);
+  EXPECT_EQ(row.dimension, dimension);
+  ASSERT_EQ(row.dims.size(), row.values.size());
+  EXPECT_EQ(row.dims.capacity(), row.nnz());
+  EXPECT_EQ(row.values.capacity(), row.nnz());
+  for (std::size_t i = 0; i < row.nnz(); ++i) {
+    EXPECT_LT(row.dims[i], dimension);
+    if (i > 0) {
+      EXPECT_LT(row.dims[i - 1], row.dims[i]);
+    }
+    EXPECT_NE(row.values[i], 0.0f);  // neither +0 nor -0
+    EXPECT_TRUE(std::isfinite(row.values[i]));
+  }
+  EXPECT_NEAR(Norm(Densify(row)), 1.0, 1e-5);
+}
+
+TEST(SparseEmbedding, SemanticRowsHoldTheContract) {
+  SemanticHashEmbedder embedder;
+  for (const std::string& text : ContractTexts()) {
+    ExpectSparseContract(embedder.Embed(text), embedder.dimension(), text);
+  }
+}
+
+TEST(SparseEmbedding, LexicalRowsHoldTheContract) {
+  LexicalHashEmbedder embedder;
+  for (const std::string& text : ContractTexts()) {
+    ExpectSparseContract(embedder.Embed(text), embedder.dimension(), text);
+  }
+}
+
+TEST(SparseEmbedding, OtherDimensionsAreRecorded) {
+  // 7 leaves a DotBlocked tail; 65536 is the widest a uint16 dim allows.
+  for (std::size_t dimension : {7u, 128u, 65536u}) {
+    EmbedderOptions options;
+    options.dimension = dimension;
+    SemanticHashEmbedder semantic(&nl::Lexicon::Default(), options);
+    LexicalHashEmbedder lexical(options);
+    for (const std::string& text : ContractTexts()) {
+      ExpectSparseContract(semantic.Embed(text), dimension, text);
+      ExpectSparseContract(lexical.Embed(text), dimension, text);
+    }
+  }
+}
+
+TEST(SparseEmbedding, EmptyTextHasNoNonZeros) {
+  SemanticHashEmbedder semantic;
+  LexicalHashEmbedder lexical;
+  for (const TextEmbedder* embedder :
+       {static_cast<const TextEmbedder*>(&semantic),
+        static_cast<const TextEmbedder*>(&lexical)}) {
+    for (const std::string text : {"", "   ", "?!"}) {
+      const SparseRow row = embedder->Embed(text);
+      EXPECT_EQ(row.nnz(), 0u) << "'" << text << "'";
+      EXPECT_TRUE(row.values.empty()) << "'" << text << "'";
+      EXPECT_EQ(row.dimension, embedder->dimension()) << "'" << text << "'";
+      EXPECT_EQ(Densify(row), Vector(embedder->dimension(), 0.0f));
+    }
+  }
+}
+
+TEST(SparseEmbedding, NonZeroNormalizationIsBitIdenticalToDense) {
+  // Summing the squares of the non-zeros alone gives the dense sum, so
+  // the sparse and dense normalizations agree bit for bit (DESIGN.md
+  // §15), and an entry the scaling rounds to zero leaves the row.
+  Rng rng(19);
+  for (int trial = 0; trial < 200; ++trial) {
+    SparseRow row;
+    row.dimension = 1 + static_cast<std::uint32_t>(rng.NextIndex(600));
+    for (std::uint32_t d = 0; d < row.dimension; ++d) {
+      if (!rng.NextBool(0.2)) continue;
+      row.dims.push_back(static_cast<std::uint16_t>(d));
+      // Every tenth row mixes 1e20 and 1e-30 entries: the small ones
+      // scale below the smallest float and must drop out.
+      const double scale =
+          trial % 10 != 0 ? 1.0 : rng.NextBool(0.5) ? 1e20 : 1e-30;
+      row.values.push_back(
+          static_cast<float>((rng.NextDouble() - 0.5) * scale));
+      if (row.values.back() == 0.0f) row.values.back() = 0.25f;
+    }
+    Vector dense = Densify(row);
+    L2Normalize(&dense);
+    L2Normalize(&row);
+    const Vector sparse = Densify(row);
+    ASSERT_EQ(sparse.size(), dense.size());
+    for (std::size_t d = 0; d < dense.size(); ++d) {
+      // Bits, except that a dropped entry reads +0 where the dense
+      // scaling may have kept -0.
+      if (dense[d] == 0.0f) {
+        EXPECT_EQ(sparse[d], 0.0f) << trial << " " << d;
+      } else {
+        EXPECT_EQ(std::memcmp(&sparse[d], &dense[d], sizeof(float)), 0)
+            << trial << " " << d;
+      }
+    }
+    for (float x : row.values) EXPECT_NE(x, 0.0f);
+  }
 }
 
 TEST(Cosine, EdgeCases) {
@@ -83,6 +212,30 @@ TEST(L2Normalize, MakesUnitLength) {
   Vector zero = {0.0f, 0.0f};
   L2Normalize(&zero);  // must not divide by zero
   EXPECT_EQ(zero[0], 0.0f);
+}
+
+TEST(SparseEmbeddingDeathTest, MalformedRowsAbortBeforeIndexing) {
+  // Dims index dense scratch and posting lists; a row that breaks the
+  // contract's structure must stop the program, never write past them.
+  const SparseRow descending{{5, 2}, {0.5f, 0.5f}, 8};
+  const SparseRow out_of_range{{1, 8}, {0.5f, 0.5f}, 8};
+  const SparseRow short_values{{1, 2}, {0.5f}, 8};
+  for (const SparseRow& row : {descending, out_of_range, short_values}) {
+    EXPECT_DEATH((void)Densify(row), "SparseRow");
+    EXPECT_DEATH(
+        {
+          PostingListStore store;
+          store.Add(row);
+        },
+        "SparseRow");
+    EXPECT_DEATH(
+        {
+          PostingListStore store;
+          store.Add(SparseRow{{1}, {1.0f}, 8});
+          (void)store.TopK(row, 1);
+        },
+        "SparseRow");
+  }
 }
 
 TEST(VectorStore, TopKOrdering) {

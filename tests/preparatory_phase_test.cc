@@ -28,7 +28,10 @@ std::string Hex(std::uint64_t digest) {
   return strings::Format("%016llx", static_cast<unsigned long long>(digest));
 }
 
-std::uint64_t Continue(std::uint64_t state, const embed::Vector& v) {
+/// Folds the dense floats of `row` into `state`: the digests below were
+/// first taken over dense embeddings, and Densify reproduces their bytes.
+std::uint64_t Continue(std::uint64_t state, const embed::SparseRow& row) {
+  const embed::Vector v = embed::Densify(row);
   return Fnv1a64Continue(state, v.data(), v.size() * sizeof(float));
 }
 
@@ -87,6 +90,27 @@ TEST_F(PreparatoryPhase, LibraryDigestMatchesGolden) {
     digest = Continue(digest, embedder.Embed(ex.DvqText()));
   }
   EXPECT_EQ(Hex(digest), "029da38c08683abb");
+}
+
+// The served queries: every NLQ of the four test splits, then every gold
+// DVQ text, as the embedder's sparse rows.
+TEST_F(PreparatoryPhase, TestSplitDigestMatchesGolden) {
+  const embed::SemanticHashEmbedder embedder;
+  const std::vector<dataset::Example>* const splits[] = {
+      &suite_->test_clean, &suite_->test_nlq, &suite_->test_schema,
+      &suite_->test_both};
+  std::uint64_t digest = Fnv1a64("");
+  for (const auto* split : splits) {
+    for (const dataset::Example& ex : *split) {
+      digest = Continue(digest, embedder.Embed(ex.nlq));
+    }
+  }
+  for (const auto* split : splits) {
+    for (const dataset::Example& ex : *split) {
+      digest = Continue(digest, embedder.Embed(ex.DvqText()));
+    }
+  }
+  EXPECT_EQ(Hex(digest), "a98083399b31eeed");
 }
 
 // The libraries are embedded in parallel batches; their rows must still

@@ -67,6 +67,20 @@ Vector RandomVector(Rng* rng, std::size_t dim) {
   return v;
 }
 
+/// The sparse row of a dense test vector: its non-zero entries (±0
+/// dropped) at its dimension. The posting-list store and RetrievalIndex
+/// take rows; their dense oracle, VectorStore, takes the vector itself.
+SparseRow Sparse(const Vector& v) {
+  SparseRow row;
+  row.dimension = static_cast<std::uint32_t>(v.size());
+  for (std::size_t d = 0; d < v.size(); ++d) {
+    if (v[d] == 0.0f) continue;
+    row.dims.push_back(static_cast<std::uint16_t>(d));
+    row.values.push_back(v[d]);
+  }
+  return row;
+}
+
 void ExpectBitIdentical(const std::vector<Hit>& actual,
                         const std::vector<Hit>& expected) {
   ASSERT_EQ(actual.size(), expected.size());
@@ -244,14 +258,15 @@ TEST(IvfEquivalence, ProbeAllInt8ScanMatchesExactOnSeedCorpus) {
   IvfIndex index = ProbeAllInt8Ivf();
   VectorStore store;
   for (const dataset::Example& ex : suite.train) {
-    Vector v = embedder.Embed(ex.nlq);
+    Vector v = Densify(embedder.Embed(ex.nlq));
     index.Add(v);
     store.Add(std::move(v));
   }
   index.Build();
   const std::size_t k = 10;
   for (const dataset::Example& ex : suite.test_nlq) {
-    Vector q = embedder.Embed(ex.nlq_rob.empty() ? ex.nlq : ex.nlq_rob);
+    Vector q = Densify(
+        embedder.Embed(ex.nlq_rob.empty() ? ex.nlq : ex.nlq_rob));
     ExpectBitIdentical(index.TopK(q, k), store.TopK(q, k));
   }
 }
@@ -311,13 +326,13 @@ TEST(RetrievalIndexFacade, ExactBackendBitIdenticalToVectorStore) {
   Rng rng(91);
   for (int i = 0; i < 150; ++i) {
     Vector v = RandomVector(&rng, 32);
-    facade.Add(v);
+    facade.Add(Sparse(v));
     store.Add(v);
   }
   facade.Seal();
   for (int qi = 0; qi < 8; ++qi) {
     Vector q = RandomVector(&rng, 32);
-    ExpectBitIdentical(facade.TopK(q, 12), store.TopK(q, 12));
+    ExpectBitIdentical(facade.TopK(Sparse(q), 12), store.TopK(q, 12));
   }
 }
 
@@ -339,13 +354,14 @@ TEST(RetrievalIndexFacade, AllBackendsReturnExactScoresAndAgreeHere) {
     indexes.emplace_back(config);
   }
   for (RetrievalIndex& index : indexes) {
-    for (const Vector& v : vectors) index.Add(v);
+    for (const Vector& v : vectors) index.Add(Sparse(v));
     index.Seal();
     EXPECT_EQ(index.size(), vectors.size());
   }
   for (int qi = 0; qi < 8; ++qi) {
     Vector q = RandomVector(&rng, 16);
-    ExpectBitIdentical(indexes[1].TopK(q, 10), indexes[0].TopK(q, 10));
+    const SparseRow row = Sparse(q);
+    ExpectBitIdentical(indexes[1].TopK(row, 10), indexes[0].TopK(row, 10));
   }
 }
 
@@ -357,11 +373,11 @@ TEST(RetrievalIndexFacade, AddAfterSealStaysRetrievableOnEveryBackend) {
     config.ivf.num_clusters = 2;
     config.ivf.num_probes = 2;
     RetrievalIndex index(config);
-    index.Add({1.0f, 0.0f});
-    index.Add({0.7f, 0.7f});
+    index.Add(Sparse({1.0f, 0.0f}));
+    index.Add(Sparse({0.7f, 0.7f}));
     index.Seal();
-    index.Add({0.0f, 1.0f});  // post-seal insert
-    std::vector<Hit> hits = index.TopK({0.0f, 1.0f}, 1);
+    index.Add(Sparse({0.0f, 1.0f}));  // post-seal insert
+    std::vector<Hit> hits = index.TopK(Sparse({0.0f, 1.0f}), 1);
     ASSERT_EQ(hits.size(), 1u)
         << RetrievalBackendName(backend);
     EXPECT_EQ(hits[0].index, 2u) << RetrievalBackendName(backend);
@@ -411,7 +427,7 @@ Vector RandomSparseVector(Rng* rng, std::size_t dim, double density) {
 void ExpectExactMatchesDense(const RetrievalIndex& index,
                              const VectorStore& dense, const Vector& query,
                              std::size_t k) {
-  ExpectBitIdentical(index.TopK(query, k), dense.TopK(query, k));
+  ExpectBitIdentical(index.TopK(Sparse(query), k), dense.TopK(query, k));
 }
 
 TEST(PostingListEquivalence, RandomizedSparseMatchesDenseScanBitForBit) {
@@ -427,7 +443,7 @@ TEST(PostingListEquivalence, RandomizedSparseMatchesDenseScanBitForBit) {
           VectorStore dense;
           for (std::size_t i = 0; i < n; ++i) {
             Vector v = RandomSparseVector(&rng, dim, density);
-            index.Add(v);
+            index.Add(Sparse(v));
             dense.Add(v);
           }
           index.Seal();
@@ -454,7 +470,7 @@ TEST(PostingListEquivalence, MixedDimensionRowsScoreZero) {
   const std::size_t dims[] = {30, 31, 512, 29, 30, 4, 512};
   for (int i = 0; i < 140; ++i) {
     Vector v = RandomSparseVector(&rng, dims[i % 7], 0.3);
-    index.Add(v);
+    index.Add(Sparse(v));
     dense.Add(v);
   }
   index.Seal();
@@ -469,8 +485,8 @@ TEST(PostingListEquivalence, MixedDimensionRowsScoreZero) {
 TEST(PostingListEquivalence, ZeroDuplicateAndDegenerateInputs) {
   RetrievalIndex empty;
   empty.Seal();
-  EXPECT_TRUE(empty.TopK({1.0f, 0.0f}, 5).empty());
-  EXPECT_TRUE(empty.TopK({}, 5).empty());
+  EXPECT_TRUE(empty.TopK(Sparse({1.0f, 0.0f}), 5).empty());
+  EXPECT_TRUE(empty.TopK(Sparse({}), 5).empty());
 
   Rng rng(41);
   RetrievalIndex index;
@@ -480,7 +496,7 @@ TEST(PostingListEquivalence, ZeroDuplicateAndDegenerateInputs) {
     Vector v = i % 5 == 0   ? Vector(64, 0.0f)
                : i % 3 == 0 ? dup
                             : RandomSparseVector(&rng, 64, 0.2);
-    index.Add(v);
+    index.Add(Sparse(v));
     dense.Add(v);
   }
   index.Seal();
@@ -493,7 +509,7 @@ TEST(PostingListEquivalence, ZeroDuplicateAndDegenerateInputs) {
     }
   }
   // The duplicates tie at the top and come back in insertion order.
-  std::vector<Hit> hits = index.TopK(dup, 3);
+  std::vector<Hit> hits = index.TopK(Sparse(dup), 3);
   ASSERT_EQ(hits.size(), 3u);
   EXPECT_EQ(hits[0].index, 3u);
   EXPECT_EQ(hits[1].index, 6u);
@@ -508,13 +524,13 @@ TEST(PostingListEquivalence, AddAfterSealMatchesDenseScanAtEveryStep) {
   VectorStore dense;
   for (int i = 0; i < 40; ++i) {
     Vector v = RandomSparseVector(&rng, 30, 0.3);
-    index.Add(v);
+    index.Add(Sparse(v));
     dense.Add(v);
   }
   index.Seal();
   for (int i = 0; i < 80; ++i) {
     Vector v = RandomSparseVector(&rng, 30, 0.3);
-    EXPECT_EQ(index.Add(v), dense.Add(v));
+    EXPECT_EQ(index.Add(Sparse(v)), dense.Add(v));
     ExpectExactMatchesDense(index, dense, v, 10);
     ExpectExactMatchesDense(index, dense, RandomSparseVector(&rng, 30, 0.3),
                             5);
@@ -531,17 +547,17 @@ TEST(PostingListEquivalence, ScratchIsSharedSafelyAcrossStoresOfEverySize) {
   VectorStore small_dense;
   for (int i = 0; i < 500; ++i) {
     Vector v = RandomSparseVector(&rng, 48, 0.2);
-    large.Add(v);
+    large.Add(Sparse(v));
     large_dense.Add(v);
     if (i % 9 == 0) {
-      small.Add(v);
+      small.Add(Sparse(v));
       small_dense.Add(v);
     }
   }
   for (int qi = 0; qi < 20; ++qi) {
     Vector q = RandomSparseVector(&rng, 48, 0.2);
-    ExpectBitIdentical(large.TopK(q, 10), large_dense.TopK(q, 10));
-    ExpectBitIdentical(small.TopK(q, 10), small_dense.TopK(q, 10));
+    ExpectBitIdentical(large.TopK(Sparse(q), 10), large_dense.TopK(q, 10));
+    ExpectBitIdentical(small.TopK(Sparse(q), 10), small_dense.TopK(q, 10));
   }
 }
 
@@ -557,12 +573,12 @@ TEST(PostingListEquivalence, DefaultSuiteNlqAndDvqLibrariesMatchDenseScan) {
   VectorStore nlq_dense;
   VectorStore dvq_dense;
   for (const dataset::Example& ex : suite.train) {
-    const Vector nlq = embedder.Embed(ex.nlq);
-    const Vector dvq = embedder.Embed(ex.DvqText());
+    const SparseRow nlq = embedder.Embed(ex.nlq);
+    const SparseRow dvq = embedder.Embed(ex.DvqText());
     nlq_index.Add(nlq);
-    nlq_dense.Add(nlq);
+    nlq_dense.Add(Densify(nlq));
     dvq_index.Add(dvq);
-    dvq_dense.Add(dvq);
+    dvq_dense.Add(Densify(dvq));
   }
   nlq_index.Seal();
   dvq_index.Seal();
@@ -570,10 +586,12 @@ TEST(PostingListEquivalence, DefaultSuiteNlqAndDvqLibrariesMatchDenseScan) {
   for (const std::vector<dataset::Example>* split :
        {&suite.test_clean, &suite.test_nlq}) {
     for (const dataset::Example& ex : *split) {
-      ExpectExactMatchesDense(nlq_index, nlq_dense, embedder.Embed(ex.nlq),
-                              10);
-      ExpectExactMatchesDense(dvq_index, dvq_dense,
-                              embedder.Embed(ex.DvqText()), 10);
+      const SparseRow nlq = embedder.Embed(ex.nlq);
+      const SparseRow dvq = embedder.Embed(ex.DvqText());
+      ExpectBitIdentical(nlq_index.TopK(nlq, 10),
+                         nlq_dense.TopK(Densify(nlq), 10));
+      ExpectBitIdentical(dvq_index.TopK(dvq, 10),
+                         dvq_dense.TopK(Densify(dvq), 10));
       ++queries;
       if (HasFailure()) return;  // one diverging query is enough to read
     }
@@ -590,7 +608,7 @@ TEST(PostingListEquivalence, DefaultSuiteNlqAndDvqLibrariesMatchDenseScan) {
 void BuildSealed(const std::vector<Vector>& rows, PostingListStore* store,
                  VectorStore* dense) {
   for (const Vector& v : rows) {
-    store->Add(v);
+    store->Add(Sparse(v));
     dense->Add(v);
   }
   store->Seal();
@@ -632,7 +650,7 @@ TEST(PostingListEquivalence, AllHeavyQueryHasZeroLightBound) {
   BuildSealed(rows, &store, &dense);
   for (const Vector& q : queries) {
     for (std::size_t k : {std::size_t{1}, std::size_t{5}, std::size_t{40}}) {
-      ExpectBitIdentical(store.TopK(q, k), dense.TopK(q, k));
+      ExpectBitIdentical(store.TopK(Sparse(q), k), dense.TopK(q, k));
     }
   }
 }
@@ -671,7 +689,7 @@ TEST(PostingListEquivalence, TiesAtKthScoreStraddleTheCandidateCut) {
         const std::vector<Hit> tied = dense.TopK(q, 2);
         ASSERT_EQ(tied[0].score, tied[1].score);  // the construction ties
         for (std::size_t k : {std::size_t{1}, std::size_t{2}}) {
-          ExpectBitIdentical(store.TopK(q, k), dense.TopK(q, k));
+          ExpectBitIdentical(store.TopK(Sparse(q), k), dense.TopK(q, k));
         }
       }
     }
@@ -697,7 +715,7 @@ TEST(PostingListEquivalence, StopTestLooksAtEachCandidatesOwnBound) {
   PostingListStore store;
   VectorStore dense;
   BuildSealed(rows, &store, &dense);
-  const std::vector<Hit> hits = store.TopK(q, 1);
+  const std::vector<Hit> hits = store.TopK(Sparse(q), 1);
   ExpectBitIdentical(hits, dense.TopK(q, 1));
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].index, 2u);
@@ -722,7 +740,7 @@ TEST(PostingListEquivalence, DuplicateRowsTiedAcrossTheKthRank) {
   BuildSealed(rows, &store, &dense);
   for (const Vector& q : runs) {
     for (std::size_t k = 1; k <= 16; ++k) {
-      ExpectBitIdentical(store.TopK(q, k), dense.TopK(q, k));
+      ExpectBitIdentical(store.TopK(Sparse(q), k), dense.TopK(q, k));
     }
   }
 }
@@ -751,9 +769,9 @@ TEST(PostingListEquivalence, KBeyondPositiveRowsReturnsZeroAndNegative) {
   BuildSealed(rows, &store, &dense);
   for (std::size_t k : {std::size_t{12}, std::size_t{30}, std::size_t{59},
                         std::size_t{60}, std::size_t{90}}) {
-    ExpectBitIdentical(store.TopK(q, k), dense.TopK(q, k));
+    ExpectBitIdentical(store.TopK(Sparse(q), k), dense.TopK(q, k));
   }
-  const std::vector<Hit> all = store.TopK(q, 60);
+  const std::vector<Hit> all = store.TopK(Sparse(q), 60);
   EXPECT_EQ(all[30].score, 0.0);
   EXPECT_LT(all.back().score, 0.0);
 }
@@ -775,7 +793,7 @@ TEST(PostingListEquivalence, MixedDimensionRowsShareHeavyDims) {
       const Vector q = RowWithHeavyPrefix(&rng, dim, 6, 0.25);
       for (std::size_t k : {std::size_t{1}, std::size_t{10}, std::size_t{45},
                             std::size_t{160}}) {
-        ExpectBitIdentical(store.TopK(q, k), dense.TopK(q, k));
+        ExpectBitIdentical(store.TopK(Sparse(q), k), dense.TopK(q, k));
       }
     }
   }
@@ -797,10 +815,10 @@ TEST(PostingListEquivalence, AddAfterSealIntoHeavyDims) {
     Vector v = RowWithHeavyPrefix(&rng, 40, 6, 0.05);
     for (std::size_t d = 0; d < 6; ++d) v[d] *= 4.0f;
     if (i % 7 == 0) v.resize(44, 0.5f);
-    EXPECT_EQ(store.Add(v), dense.Add(v));
+    EXPECT_EQ(store.Add(Sparse(v)), dense.Add(v));
     for (const Vector& q : {v, RowWithHeavyPrefix(&rng, v.size(), 6, 0.1)}) {
-      ExpectBitIdentical(store.TopK(q, 1), dense.TopK(q, 1));
-      ExpectBitIdentical(store.TopK(q, 8), dense.TopK(q, 8));
+      ExpectBitIdentical(store.TopK(Sparse(q), 1), dense.TopK(q, 1));
+      ExpectBitIdentical(store.TopK(Sparse(q), 8), dense.TopK(q, 8));
     }
   }
 }
@@ -821,20 +839,20 @@ TEST(PostingListEquivalence, SealTwiceReDecidesTheSplit) {
     queries.push_back(RowWithHeavyPrefix(&rng, 24, 3, 0.3));
   }
   std::vector<std::vector<Hit>> first;
-  for (const Vector& q : queries) first.push_back(store.TopK(q, 10));
+  for (const Vector& q : queries) first.push_back(store.TopK(Sparse(q), 10));
   store.Seal();
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    ExpectBitIdentical(store.TopK(queries[i], 10), first[i]);
+    ExpectBitIdentical(store.TopK(Sparse(queries[i]), 10), first[i]);
   }
   for (int i = 0; i < 120; ++i) {
     const Vector v = RowWithHeavyPrefix(&rng, 24, 12, 0.2);
-    store.Add(v);
+    store.Add(Sparse(v));
     dense.Add(v);
   }
   for (int seal = 0; seal < 2; ++seal) {
     store.Seal();
     for (const Vector& q : queries) {
-      ExpectBitIdentical(store.TopK(q, 10), dense.TopK(q, 10));
+      ExpectBitIdentical(store.TopK(Sparse(q), 10), dense.TopK(q, 10));
     }
   }
 }
@@ -848,13 +866,59 @@ TEST(PostingListEquivalence, UnsealedStoreMatchesDenseScan) {
   VectorStore dense;
   for (int i = 0; i < 120; ++i) {
     const Vector v = RandomSparseVector(&rng, 30, 0.2);
-    EXPECT_EQ(store.Add(v), dense.Add(v));
+    EXPECT_EQ(store.Add(Sparse(v)), dense.Add(v));
   }
   for (int qi = 0; qi < 8; ++qi) {
     const Vector q = RandomSparseVector(&rng, 30, 0.2);
     for (std::size_t k : {std::size_t{1}, std::size_t{10}, std::size_t{200}}) {
-      ExpectBitIdentical(store.TopK(q, k), dense.TopK(q, k));
+      ExpectBitIdentical(store.TopK(Sparse(q), k), dense.TopK(q, k));
     }
+  }
+}
+
+/// A random sparse row as a producer other than the embedders may build
+/// it: ascending dims, unnormalized non-zero values.
+SparseRow RandomSparseRow(Rng* rng, std::uint32_t dimension, double density) {
+  SparseRow row;
+  row.dimension = dimension;
+  for (std::uint32_t d = 0; d < dimension; ++d) {
+    if (!rng->NextBool(density)) continue;
+    const float x = static_cast<float>(rng->NextDouble() - 0.5);
+    row.dims.push_back(static_cast<std::uint16_t>(d));
+    row.values.push_back(x != 0.0f ? x : 0.5f);
+  }
+  return row;
+}
+
+TEST(PostingListEquivalence, SparseRowsMatchDenseAdds) {
+  // The store takes rows as they come and normalizes over their
+  // non-zeros; the dense oracle gets the densified rows and normalizes
+  // all of their floats. Every answer must agree bit for bit, across
+  // mixed-dimension rows, before and after Seal, and for queries of a
+  // dimension no row has.
+  Rng rng(131);
+  const std::uint32_t dims[] = {30, 512, 31, 7, 512, 30};
+  PostingListStore store;
+  VectorStore dense;
+  for (int i = 0; i < 240; ++i) {
+    const double density = i % 3 == 0 ? 0.6 : 0.15;
+    const SparseRow row = RandomSparseRow(&rng, dims[i % 6], density);
+    EXPECT_EQ(store.Add(row), dense.Add(Densify(row)));
+  }
+  std::vector<SparseRow> queries;
+  for (std::uint32_t dim : {7u, 30u, 31u, 512u, 45u, 600u}) {
+    queries.push_back(RandomSparseRow(&rng, dim, 0.3));
+  }
+  queries.push_back(SparseRow{{}, {}, 512});  // no non-zeros
+  queries.push_back(SparseRow{});              // dimension 0
+  for (int sealed = 0; sealed < 2; ++sealed) {
+    for (const SparseRow& q : queries) {
+      for (std::size_t k : {std::size_t{1}, std::size_t{10},
+                            std::size_t{240}}) {
+        ExpectBitIdentical(store.TopK(q, k), dense.TopK(Densify(q), k));
+      }
+    }
+    store.Seal();
   }
 }
 
@@ -870,16 +934,16 @@ TEST(RetrievalIndexFacade, ConcurrentTopKOnSealedRealLibrary) {
   RetrievalIndex index;
   VectorStore dense;
   for (const dataset::Example& ex : suite.train) {
-    const Vector v = embedder.Embed(ex.nlq);
-    index.Add(v);
-    dense.Add(v);
+    const SparseRow row = embedder.Embed(ex.nlq);
+    index.Add(row);
+    dense.Add(Densify(row));
   }
   index.Seal();
-  std::vector<Vector> queries;
+  std::vector<SparseRow> queries;
   std::vector<std::vector<Hit>> expected;
   for (const dataset::Example& ex : suite.test_nlq) {
     queries.push_back(embedder.Embed(ex.nlq));
-    expected.push_back(dense.TopK(queries.back(), 10));
+    expected.push_back(dense.TopK(Densify(queries.back()), 10));
   }
   constexpr int kThreads = 4;
   std::atomic<int> mismatches{0};
@@ -912,13 +976,13 @@ TEST(RetrievalIndexFacade, ConcurrentExactTopKMatchesSerialRun) {
   Rng rng(73);
   RetrievalIndex index;
   for (int i = 0; i < 1500; ++i) {
-    index.Add(RandomSparseVector(&rng, 128, 0.2));
+    index.Add(Sparse(RandomSparseVector(&rng, 128, 0.2)));
   }
   index.Seal();
-  std::vector<Vector> queries;
+  std::vector<SparseRow> queries;
   std::vector<std::vector<Hit>> expected;
   for (int i = 0; i < 24; ++i) {
-    queries.push_back(RandomSparseVector(&rng, 128, 0.2));
+    queries.push_back(Sparse(RandomSparseVector(&rng, 128, 0.2)));
     expected.push_back(index.TopK(queries.back(), 10));
   }
   constexpr int kThreads = 8;
@@ -971,7 +1035,7 @@ TEST(CachingEmbedder, ConcurrentHammerIsRaceFreeAndDeterministic) {
   CachingEmbedder cached(std::make_unique<SemanticHashEmbedder>());
   SemanticHashEmbedder plain;
   std::vector<std::string> texts;
-  std::vector<Vector> expected;
+  std::vector<SparseRow> expected;
   for (int i = 0; i < 25; ++i) {
     texts.push_back("query number " + std::to_string(i) +
                     " about salary and department");
@@ -1005,6 +1069,54 @@ TEST(CachingEmbedder, ConcurrentHammerIsRaceFreeAndDeterministic) {
   // exceed the distinct-text count but never the total.
   EXPECT_GE(stats.misses, texts.size());
   EXPECT_GT(stats.hits, 0u);
+}
+
+TEST(CachingEmbedder, ConcurrentSparseHitsMatchSerial) {
+  // Run under TSan by scripts/tier1.sh: eight threads embed the NLQs and
+  // DVQ texts of a small suite, each in its own rotation so first touches
+  // and hits interleave. Every returned row must equal the serial
+  // embedding, and every call must count exactly once, as a hit or a
+  // miss.
+  dataset::BenchmarkOptions options;
+  options.train_size = 120;
+  options.test_size = 20;
+  const dataset::BenchmarkSuite suite = dataset::BuildBenchmarkSuite(options);
+  std::vector<std::string> texts;
+  for (const dataset::Example& ex : suite.train) {
+    texts.push_back(ex.nlq);
+    texts.push_back(ex.DvqText());
+  }
+  const SemanticHashEmbedder plain;
+  std::vector<SparseRow> serial;
+  for (const std::string& text : texts) serial.push_back(plain.Embed(text));
+
+  const CachingEmbedder cached(std::make_unique<SemanticHashEmbedder>());
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kRounds = 2;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < texts.size(); ++i) {
+          const std::size_t j = (i + t * 37) % texts.size();
+          if (cached.Embed(texts[j]) != serial[j]) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const CachingEmbedder::Stats stats = cached.stats();
+  EXPECT_EQ(stats.hits + stats.misses, kThreads * kRounds * texts.size());
+  EXPECT_GT(stats.hits, 0u);
+  // Later calls find the rows resident and equal to the serial ones.
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    EXPECT_EQ(cached.Embed(texts[i]), serial[i]);
+  }
 }
 
 }  // namespace

@@ -44,7 +44,7 @@ class ScaleFixture : public ::testing::Test {
     vectors_ = new std::vector<Vector>();
     vectors_->reserve(library_->size());
     for (const std::string& nlq : *library_) {
-      vectors_->push_back(embedder.Embed(nlq));
+      vectors_->push_back(Densify(embedder.Embed(nlq)));
     }
   }
 
@@ -111,7 +111,7 @@ TEST_F(ScaleFixture, IvfMultiProbeRecallAtTenAboveNinetyNinePercent) {
   const std::size_t k = 10;
   double recall_sum = 0.0;
   for (const std::string& nlq : query_texts) {
-    Vector q = embedder.Embed(nlq);
+    Vector q = Densify(embedder.Embed(nlq));
     std::vector<Hit> truth = exact.TopK(q, k);
     std::vector<Hit> approx = index.TopK(q, k);
     std::size_t hits = 0;
