@@ -1,18 +1,19 @@
-// Executor engine sweep: the vectorized columnar engine vs the
-// row-at-a-time reference engine on large synthetic tables, with
+// Executor sweep: the vectorized columnar executor (exec::Execute) vs
+// the row-at-a-time reference (exec::reference::Execute) on large
+// synthetic tables, with
 // resource guards armed (generous budgets — the point is that per-chunk
 // charging is on the hot path, not that anything trips).
 //
 // Workloads cover the operators the columnar rebuild touches: full-table
 // scan + projection, selective filters (including the dense-int fast
 // path), hash GROUP BY aggregation, and a hash join feeding an
-// aggregate. Every workload runs through both engines; the results must
+// aggregate. Every workload runs through both executors; the results must
 // be bit-identical (cell kinds and payloads, reals by bit pattern) —
 // asserted here, not printed. Reported per workload: best-of-reps wall
-// time per engine and the speedup ratio.
+// time per executor and the speedup ratio.
 //
 // Environment: GRED_EXEC_ROWS (synthetic fact-table rows, default
-// 1000000), GRED_EXEC_REPS (timed repetitions per engine, best-of,
+// 1000000), GRED_EXEC_REPS (timed repetitions per executor, best-of,
 // default 5). Usage: exec_sweep [REPORT_JSON] — with an argument, also
 // writes the machine-readable report, with the derived min_speedup and
 // all_identical verdicts (scripts/bench_report --exec writes
@@ -30,6 +31,7 @@
 
 #include "bench/common.h"
 #include "exec/executor.h"
+#include "exec/reference_executor.h"
 #include "schema/schema.h"
 #include "storage/table.h"
 #include "util/env.h"
@@ -45,7 +47,7 @@ using gred::Rng;
 using gred::storage::Value;
 
 /// Type-exact fingerprint (kind tag + payload, reals by bit pattern):
-/// any engine divergence changes it. Mirrors the differential test's.
+/// any executor divergence changes it. Mirrors the differential test's.
 std::string Fingerprint(const gred::exec::ResultSet& rs) {
   std::string out;
   for (const std::string& name : rs.column_names) {
@@ -228,19 +230,20 @@ int main(int argc, char** argv) {
   std::vector<Point> points;
   bool all_identical = true;
 
+  using ExecuteFn = Result<exec::ResultSet> (*)(
+      const dvq::Query&, const storage::DatabaseData&,
+      const exec::ExecOptions&);
   for (const Workload& workload : workloads) {
-    auto time_engine = [&](exec::Engine engine) {
+    auto time_executor = [&](ExecuteFn execute) {
       double best_s = 0.0;
       std::string fingerprint;
       std::size_t result_rows = 0;
       for (std::size_t rep = 0; rep < reps; ++rep) {
         ExecContext context(limits);
         exec::ExecOptions options;
-        options.engine = engine;
         options.context = &context;
         const auto start = std::chrono::steady_clock::now();
-        Result<exec::ResultSet> result =
-            exec::Execute(workload.query, db, options);
+        Result<exec::ResultSet> result = execute(workload.query, db, options);
         const double wall = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - start)
                                 .count();
@@ -259,8 +262,8 @@ int main(int argc, char** argv) {
       return std::make_tuple(best_s, fingerprint, result_rows);
     };
 
-    auto [row_s, row_fp, row_rows] = time_engine(exec::Engine::kRowAtATime);
-    auto [col_s, col_fp, col_rows] = time_engine(exec::Engine::kColumnar);
+    auto [row_s, row_fp, row_rows] = time_executor(&exec::reference::Execute);
+    auto [col_s, col_fp, col_rows] = time_executor(&exec::Execute);
 
     Point point;
     point.name = workload.name;
@@ -271,7 +274,7 @@ int main(int argc, char** argv) {
     point.identical = row_fp == col_fp;
     if (!point.identical) {
       std::fprintf(stderr,
-                   "[bench] FAIL: %s: engines diverged (%zu vs %zu rows)\n",
+                   "[bench] FAIL: %s: executors diverged (%zu vs %zu rows)\n",
                    workload.name.c_str(), row_rows, col_rows);
     }
     all_identical = all_identical && point.identical;

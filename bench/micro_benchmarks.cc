@@ -159,15 +159,11 @@ void BM_ExecuteDvq(benchmark::State& state) {
   const auto& suite = Suite();
   const auto& ex = suite.test_clean[0];
   const gred::dataset::GeneratedDatabase* db = suite.FindCleanDb(ex.db_name);
-  gred::exec::ExecOptions options;
-  options.join_strategy = state.range(0) == 0
-                              ? gred::exec::JoinStrategy::kHashJoin
-                              : gred::exec::JoinStrategy::kNestedLoop;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(gred::exec::Execute(ex.dvq, db->data, options));
+    benchmark::DoNotOptimize(gred::exec::Execute(ex.dvq, db->data));
   }
 }
-BENCHMARK(BM_ExecuteDvq)->Arg(0)->Arg(1);
+BENCHMARK(BM_ExecuteDvq);
 
 void BM_GredTranslate(benchmark::State& state) {
   const auto& suite = Suite();

@@ -104,10 +104,10 @@ echo "== tier-1: analysis smoke (repair gate + cost calibration) =="
   "$ROOT/build/BENCH_analysis_smoke.json"
 SMOKE_REPORTS+=("$ROOT/build/BENCH_analysis_smoke.json")
 
-echo "== tier-1: exec-sweep smoke (columnar vs row engine identity) =="
-# Both executor engines over a small synthetic table through
-# scripts/bench_report --exec: the binary itself asserts bit-identical
-# results with guards armed.
+echo "== tier-1: exec-sweep smoke (executor vs reference identity) =="
+# The executor and its row-at-a-time reference over a small synthetic
+# table through scripts/bench_report --exec: the binary itself asserts
+# bit-identical results with guards armed.
 "$ROOT/scripts/bench_report" --exec --smoke \
   "$ROOT/build/BENCH_exec_smoke.json"
 SMOKE_REPORTS+=("$ROOT/build/BENCH_exec_smoke.json")
@@ -182,9 +182,10 @@ TSAN_OPTIONS="halt_on_error=1" "$ROOT/build-tsan/tests/serve_test"
 # call runs outside the lock; the contention hammer must account every
 # call with no race.
 TSAN_OPTIONS="halt_on_error=1" "$ROOT/build-tsan/tests/circuit_breaker_test"
-# Engine differential (row vs columnar) under TSan: the eval harness
-# runs executions on worker threads, so the executor — including the
-# columnar engine's shared-scan borrowing — must stay data-race-free.
+# Executor differential (production vs the row-at-a-time reference
+# library, both instrumented) under TSan: the eval harness runs
+# executions on worker threads, so the executor — including its
+# shared-scan borrowing — must stay data-race-free.
 TSAN_OPTIONS="halt_on_error=1" "$ROOT/build-tsan/tests/exec_reference_test" \
   --gtest_filter='*EngineDifferential*'
 
@@ -226,10 +227,11 @@ ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
 # runs under ASan+UBSan so a parser overread fails loudly.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-asan/tests/json_test"
-# The columnar engine works over borrowed column pointers and selection
-# index vectors — exactly the pointer arithmetic ASan exists to police.
-# The differential suites replay the whole eval corpus plus 1000
-# randomized queries through both engines here.
+# The executor works over borrowed column pointers and selection index
+# vectors — exactly the pointer arithmetic ASan exists to police. The
+# differential suites replay the whole eval corpus plus 1000 randomized
+# queries through the executor and the reference library (built with
+# the same sanitizer flags) here.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-asan/tests/exec_test"
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \

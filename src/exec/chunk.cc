@@ -18,6 +18,47 @@ Result<std::size_t> SlotBinding::Resolve(const dvq::ColumnRef& ref) const {
   return Status::ExecutionError("unknown column '" + ref.ToString() + "'");
 }
 
+Value LiteralToValue(const dvq::Literal& lit) {
+  switch (lit.kind) {
+    case dvq::Literal::Kind::kInt:
+      return Value::Int(lit.int_value);
+    case dvq::Literal::Kind::kReal:
+      return Value::Real(lit.real_value);
+    case dvq::Literal::Kind::kString:
+      return Value::Text(lit.string_value);
+  }
+  return Value::Null();
+}
+
+bool OrderMatchesSelect(const dvq::SelectExpr& sel,
+                        const dvq::SelectExpr& order,
+                        const SlotBinding& binding) {
+  if (sel.agg != order.agg || sel.distinct != order.distinct) return false;
+  if (sel.col.column == "*" || order.col.column == "*") {
+    return sel.col.EqualsIgnoreCase(order.col);
+  }
+  if (order.col.table.empty()) {
+    return strings::EqualsIgnoreCase(sel.col.column, order.col.column);
+  }
+  Result<std::size_t> ss = binding.Resolve(sel.col);
+  Result<std::size_t> so = binding.Resolve(order.col);
+  if (ss.ok() && so.ok()) return ss.value() == so.value();
+  return sel.EqualsIgnoreCase(order);
+}
+
+std::optional<std::size_t> UnifyOrderBy(const dvq::Query& q,
+                                        const SlotBinding& binding,
+                                        std::vector<dvq::SelectExpr>* computed) {
+  if (!q.order_by.has_value()) return std::nullopt;
+  for (std::size_t i = 0; i < computed->size(); ++i) {
+    if (OrderMatchesSelect((*computed)[i], q.order_by->expr, binding)) {
+      return i;
+    }
+  }
+  computed->push_back(q.order_by->expr);
+  return computed->size() - 1;
+}
+
 void ColumnBatch::AddScanTable(const storage::DataTable& table) {
   Source source;
   source.table = &table;

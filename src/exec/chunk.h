@@ -2,6 +2,7 @@
 #define GREDVIS_EXEC_CHUNK_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -10,16 +11,25 @@
 #include "storage/table.h"
 #include "util/status.h"
 
+/// Charges the guard (when present) and propagates a tripped budget out
+/// of the enclosing function. Unguarded execution (null context) is a
+/// branch per use and nothing else, keeping the default path identical
+/// to the pre-guard executor.
+#define GRED_CHARGE(ctx, call)                               \
+  do {                                                       \
+    if ((ctx) != nullptr) GRED_RETURN_IF_ERROR((ctx)->call); \
+  } while (false)
+
 namespace gred::exec {
 
 /// Rows processed per guard charge in the vectorized engine. Charges are
 /// batched at this granularity (DESIGN.md executor section); totals per
-/// operator are identical to the row-at-a-time engine's per-row charges,
-/// so a query exhausts the same budgets in both engines.
+/// operator are identical to the reference executor's per-row charges,
+/// so a query exhausts the same budgets in both.
 inline constexpr std::size_t kExecChunkRows = 1024;
 
 /// Maps column references to slot indices in the joined working set.
-/// Shared by both executor engines so name resolution (and therefore
+/// Shared with the reference executor so name resolution (and therefore
 /// which physical column a reference binds to) is identical.
 class SlotBinding {
  public:
@@ -36,6 +46,38 @@ class SlotBinding {
  private:
   std::vector<std::pair<std::string, std::string>> slots_;
 };
+
+// Binding helpers shared with the reference executor
+// (exec/reference_executor.h), so both resolve identically.
+
+/// Converts a DVQ literal to the storage value it compares against.
+storage::Value LiteralToValue(const dvq::Literal& lit);
+
+/// True when the ORDER BY expression `order` denotes the already-selected
+/// expression `sel`. Aggregate and DISTINCT must match exactly; column
+/// matching follows SQL's ORDER BY resolution rules rather than surface
+/// text:
+///  * A bare (unqualified) ORDER BY name binds to the result column of
+///    that name, whatever qualifier the select list spelled it with.
+///  * A qualified ORDER BY reference matches iff it resolves to the same
+///    working-set slot as the selected column, so `ORDER BY t.c` unifies
+///    with `SELECT c` (and never with a same-named column of another
+///    table). Unresolvable references fall back to textual comparison so
+///    the unknown name still surfaces through the normal resolution
+///    error path.
+bool OrderMatchesSelect(const dvq::SelectExpr& sel,
+                        const dvq::SelectExpr& order,
+                        const SlotBinding& binding);
+
+/// Unifies ORDER BY with the select list, appending the order expression
+/// as a hidden trailing computed column when it is not already selected.
+/// Matching is semantic (see OrderMatchesSelect), not raw-text: the old
+/// spelling comparison meant `SELECT parent.v ... ORDER BY v` failed to
+/// unify and the hidden column re-resolved to the *first* same-named
+/// slot, which after a join can belong to a different table entirely.
+std::optional<std::size_t> UnifyOrderBy(const dvq::Query& q,
+                                        const SlotBinding& binding,
+                                        std::vector<dvq::SelectExpr>* computed);
 
 /// A borrowed, loop-friendly view of one working-set column. `values`
 /// points either at a storage column (indexed through `rowids`) or at a

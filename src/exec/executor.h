@@ -25,34 +25,13 @@ struct ResultSet {
   std::string ToString(std::size_t max_rows = 20) const;
 };
 
-/// Join algorithm selection, exposed for benchmarking; results are
-/// identical (verified by property tests).
-enum class JoinStrategy { kHashJoin, kNestedLoop };
-
-/// Executor engine selection. `kColumnar` is the vectorized engine:
-/// scans borrow storage columns, filters evaluate predicates into
-/// selection bitmaps, joins shuffle 32-bit row ids, and cells are copied
-/// only into the final ResultSet. `kRowAtATime` is the original
-/// executor, kept as the executable reference semantics. The two produce
-/// bit-identical ResultSets (asserted by the differential suite in
-/// tests/exec_reference_test.cc); see DESIGN.md's executor section.
-enum class Engine { kColumnar, kRowAtATime };
-
-/// Process-wide default engine: `GRED_EXEC_ENGINE=row` selects the
-/// reference engine, anything else (including unset) the columnar one.
-/// Read once per process, so the whole pipeline — eval, serve, bench —
-/// can be flipped without plumbing.
-Engine DefaultEngine();
-
 /// Execution options.
 struct ExecOptions {
-  JoinStrategy join_strategy = JoinStrategy::kHashJoin;
-  Engine engine = DefaultEngine();
   /// Test-only 64-bit value-hash override used by hash joins and
-  /// group-by in both engines (nullptr = storage::Value::Hash, the
-  /// production path). Injecting a degenerate hash — e.g. a constant —
-  /// forces every row pair to hash-collide, proving the engines re-check
-  /// actual key values after a hash match instead of trusting the hash.
+  /// group-by (nullptr = storage::Value::Hash, the production path).
+  /// Injecting a degenerate hash — e.g. a constant — forces every row
+  /// pair to hash-collide, proving the executor re-checks actual key
+  /// values after a hash match instead of trusting the hash.
   std::uint64_t (*value_hash)(const storage::Value&) = nullptr;
   /// Optional resource guard (not owned; nullptr = unguarded, the
   /// default — bit-identical to the pre-guard executor). When set, every
@@ -67,6 +46,14 @@ struct ExecOptions {
 };
 
 /// Evaluates the relational core of a DVQ against a database instance.
+///
+/// The executor is vectorized and columnar: scans borrow storage
+/// columns, filters evaluate predicates into selection bitmaps, joins
+/// are hash joins (build the newly joined table, probe with the working
+/// set) that shuffle 32-bit row ids, and cells are copied only into the
+/// final ResultSet. Its executable specification is the row-at-a-time
+/// reference in exec/reference_executor.h, which tests and the executor
+/// benchmark hold it bit-identical to; see DESIGN.md's executor section.
 ///
 /// Semantics follow nvBench's SQLite substrate with Vega-Zero extensions:
 ///  * Aliases are resolved before binding.

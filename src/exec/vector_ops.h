@@ -26,7 +26,7 @@ inline std::uint64_t HashValueWith(ValueHashFn fn,
 
 /// Multi-column group-key hashing, split into seed/combine so callers
 /// can fold cell hashes without materializing key tuples. Must stay in
-/// lockstep between the two executor engines.
+/// lockstep between the executor and its row-at-a-time reference.
 inline constexpr std::uint64_t kGroupHashSeed = 0x51ed270b8d5f1fd1ULL;
 
 inline std::uint64_t CombineKeyHash(std::uint64_t h,
@@ -134,9 +134,9 @@ std::vector<std::uint32_t> StableSortPermutation(std::size_t n,
                                                  const ColumnView& keys,
                                                  bool descending);
 
-/// Accumulates one aggregate over a group. Shared verbatim by both
-/// executor engines so SUM/AVG float accumulation order — and thus the
-/// exact double bits — is identical between them.
+/// Accumulates one aggregate over a group. Shared verbatim by the
+/// executor and its reference so SUM/AVG float accumulation order — and
+/// thus the exact double bits — is identical between them.
 class AggAccumulator {
  public:
   explicit AggAccumulator(const dvq::SelectExpr& expr) : expr_(expr) {}

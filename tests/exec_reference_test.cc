@@ -14,6 +14,7 @@
 
 #include "dataset/benchmark.h"
 #include "exec/executor.h"
+#include "exec/reference_executor.h"
 #include "exec/scalar.h"
 #include "util/rng.h"
 
@@ -338,15 +339,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ExecutorDifferential,
                          ::testing::Values(1, 2, 3));
 
 // ---------------------------------------------------------------------------
-// Row-engine vs columnar-engine differential harness. The row-at-a-time
-// engine is the executable reference semantics; the vectorized engine
-// must be bit-identical on results and — absent scalar subqueries, which
-// it hoists — charge-identical on guards.
+// Reference vs production differential harness. The row-at-a-time
+// reference (exec/reference_executor.h) is the executable semantics; the
+// vectorized production executor must be bit-identical on results and —
+// absent scalar subqueries, which it hoists — charge-identical on guards.
 // ---------------------------------------------------------------------------
 
 /// Type-exact fingerprint of a ResultSet: column names, row order, and
 /// for each cell a kind tag plus an exact payload (ints by value, reals
-/// by bit pattern, text raw). Any divergence between engines — including
+/// by bit pattern, text raw). Any divergence between executors — including
 /// int-vs-real kind drift or a different double-accumulation order —
 /// changes the fingerprint.
 std::string Fingerprint(const exec::ResultSet& rs) {
@@ -385,21 +386,16 @@ bool HasSubquery(const dvq::Query& q) {
   return false;
 }
 
-/// Runs one query through both engines and asserts agreement: identical
+/// Runs one query through both executors and asserts agreement: identical
 /// ok-ness, identical error code/message on failure, identical result
 /// fingerprint on success. When `check_usage` is set, also runs both
 /// under a fresh unlimited guard and asserts identical charge totals
 /// (valid only without subqueries).
 void ExpectEnginesAgree(const dvq::Query& q, const storage::DatabaseData& db,
-                        exec::JoinStrategy strategy, bool check_usage,
-                        const std::string& label) {
+                        bool check_usage, const std::string& label) {
   exec::ExecOptions row;
-  row.engine = exec::Engine::kRowAtATime;
-  row.join_strategy = strategy;
   exec::ExecOptions col;
-  col.engine = exec::Engine::kColumnar;
-  col.join_strategy = strategy;
-  Result<exec::ResultSet> a = exec::Execute(q, db, row);
+  Result<exec::ResultSet> a = exec::reference::Execute(q, db, row);
   Result<exec::ResultSet> b = exec::Execute(q, db, col);
   ASSERT_EQ(a.ok(), b.ok()) << label << "\nrow: " << a.status().ToString()
                             << "\ncolumnar: " << b.status().ToString();
@@ -414,7 +410,7 @@ void ExpectEnginesAgree(const dvq::Query& q, const storage::DatabaseData& db,
   ExecContext col_ctx;
   row.context = &row_ctx;
   col.context = &col_ctx;
-  ASSERT_TRUE(exec::Execute(q, db, row).ok()) << label;
+  ASSERT_TRUE(exec::reference::Execute(q, db, row).ok()) << label;
   ASSERT_TRUE(exec::Execute(q, db, col).ok()) << label;
   EXPECT_EQ(row_ctx.usage().ticks, col_ctx.usage().ticks) << label;
   EXPECT_EQ(row_ctx.usage().rows, col_ctx.usage().rows) << label;
@@ -423,21 +419,19 @@ void ExpectEnginesAgree(const dvq::Query& q, const storage::DatabaseData& db,
 }
 
 /// Trip parity under tight budgets: per-chunk charging must exhaust the
-/// same budgets as per-row charging. Without subqueries both engines
+/// same budgets as per-row charging. Without subqueries both executors
 /// charge identical totals, so trip/no-trip must match exactly; with a
-/// subquery the columnar engine (which hoists it) charges at most as
-/// much, so its trip implies the reference engine's.
+/// subquery the columnar executor (which hoists it) charges at most as
+/// much, so its trip implies the reference's.
 void ExpectTripParity(const dvq::Query& q, const storage::DatabaseData& db,
                       const GuardLimits& limits, const std::string& label) {
   ExecContext row_ctx(limits);
   ExecContext col_ctx(limits);
   exec::ExecOptions row;
-  row.engine = exec::Engine::kRowAtATime;
   row.context = &row_ctx;
   exec::ExecOptions col;
-  col.engine = exec::Engine::kColumnar;
   col.context = &col_ctx;
-  Result<exec::ResultSet> a = exec::Execute(q, db, row);
+  Result<exec::ResultSet> a = exec::reference::Execute(q, db, row);
   Result<exec::ResultSet> b = exec::Execute(q, db, col);
   if (HasSubquery(q)) {
     if (!b.ok()) {
@@ -480,9 +474,7 @@ TEST_P(EngineDifferential, ColumnarMatchesRowEngineOnEvalSuite) {
                   : suite.FindCleanDb(ex.db_name);
       ASSERT_NE(db, nullptr) << ex.db_name;
       const bool check_usage = !HasSubquery(ex.dvq.query);
-      ExpectEnginesAgree(ex.dvq.query, db->data,
-                         exec::JoinStrategy::kHashJoin, check_usage,
-                         ex.DvqText());
+      ExpectEnginesAgree(ex.dvq.query, db->data, check_usage, ex.DvqText());
       ++compared;
     }
   }
@@ -496,7 +488,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EngineDifferential,
 // Randomized differential: structured random queries over hand-built
 // tables that concentrate the awkward cases — NULL group keys, empty
 // inputs, BIN + GROUP BY, duplicate join keys, ambiguous column names —
-// run through both engines, with and without guards.
+// run through both executors, with and without guards.
 // ---------------------------------------------------------------------------
 
 dvq::ColumnRef Col(const std::string& table, const std::string& column) {
@@ -694,10 +686,7 @@ TEST_P(RandomizedEngineDifferential, EnginesAgreeOnRandomQueries) {
     const dvq::Query q = MakeRandomQuery(&rng);
     const std::string label = "iter " + std::to_string(iter) + ": " +
                               q.ToString();
-    const exec::JoinStrategy strategy = rng.NextBool(0.75)
-                                            ? exec::JoinStrategy::kHashJoin
-                                            : exec::JoinStrategy::kNestedLoop;
-    ExpectEnginesAgree(q, db, strategy, !HasSubquery(q), label);
+    ExpectEnginesAgree(q, db, !HasSubquery(q), label);
     // Tight random budgets: per-chunk charging must trip identically.
     GuardLimits limits;
     if (rng.NextBool(0.5)) {

@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <utility>
 
 #include "dvq/parser.h"
 #include "exec/executor.h"
+#include "exec/reference_executor.h"
 #include "exec/scalar.h"
 #include "util/rng.h"
 
@@ -325,6 +325,14 @@ void ExpectSameResult(const ResultSet& a, const ResultSet& b,
   }
 }
 
+using ExecuteFn = Result<ResultSet> (*)(const dvq::Query&,
+                                        const DatabaseData&,
+                                        const ExecOptions&);
+
+/// The production executor and its row-at-a-time reference: the
+/// regressions below must hold for both.
+constexpr ExecuteFn kExecutors[] = {&Execute, &reference::Execute};
+
 /// Degenerate hash: every value collides with every other value. Any
 /// query that stays correct under this must be re-checking actual key
 /// values after each hash match.
@@ -335,21 +343,15 @@ TEST(Executor, HashCollisionsNeverJoinUnrelatedRows) {
   const dvq::Query join = Q(
       "SELECT department_name , salary FROM employees JOIN departments "
       "ON employees.department_id = departments.department_id");
-  for (Engine engine : {Engine::kColumnar, Engine::kRowAtATime}) {
-    for (JoinStrategy strategy :
-         {JoinStrategy::kHashJoin, JoinStrategy::kNestedLoop}) {
-      ExecOptions baseline;
-      baseline.engine = engine;
-      baseline.join_strategy = strategy;
-      ExecOptions colliding = baseline;
-      colliding.value_hash = &ConstantHash;
-      Result<ResultSet> want = Execute(join, db, baseline);
-      Result<ResultSet> got = Execute(join, db, colliding);
-      ASSERT_TRUE(want.ok());
-      ASSERT_TRUE(got.ok());
-      EXPECT_EQ(got.value().num_rows(), 4u);  // eve's department dangles
-      ExpectSameResult(want.value(), got.value(), "colliding join");
-    }
+  for (ExecuteFn execute : kExecutors) {
+    ExecOptions colliding;
+    colliding.value_hash = &ConstantHash;
+    Result<ResultSet> want = execute(join, db, {});
+    Result<ResultSet> got = execute(join, db, colliding);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.value().num_rows(), 4u);  // eve's department dangles
+    ExpectSameResult(want.value(), got.value(), "colliding join");
   }
 }
 
@@ -358,13 +360,11 @@ TEST(Executor, HashCollisionsNeverMergeUnrelatedGroups) {
   const dvq::Query group = Q(
       "SELECT department_id , COUNT(*) FROM employees GROUP BY "
       "department_id");
-  for (Engine engine : {Engine::kColumnar, Engine::kRowAtATime}) {
-    ExecOptions baseline;
-    baseline.engine = engine;
-    ExecOptions colliding = baseline;
+  for (ExecuteFn execute : kExecutors) {
+    ExecOptions colliding;
     colliding.value_hash = &ConstantHash;
-    Result<ResultSet> want = Execute(group, db, baseline);
-    Result<ResultSet> got = Execute(group, db, colliding);
+    Result<ResultSet> want = execute(group, db, {});
+    Result<ResultSet> got = execute(group, db, colliding);
     ASSERT_TRUE(want.ok());
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got.value().num_rows(), 3u);
@@ -402,10 +402,8 @@ TEST(Executor, OrderByBareNameBindsToSelectedColumn) {
   DatabaseData db = MakeAmbiguousDb();
   const dvq::Query q = Q(
       "SELECT a.k , b.v FROM a JOIN b ON a.k = b.k ORDER BY v ASC");
-  for (Engine engine : {Engine::kColumnar, Engine::kRowAtATime}) {
-    ExecOptions options;
-    options.engine = engine;
-    Result<ResultSet> rs = Execute(q, db, options);
+  for (ExecuteFn execute : kExecutors) {
+    Result<ResultSet> rs = execute(q, db, {});
     ASSERT_TRUE(rs.ok());
     ASSERT_EQ(rs.value().num_rows(), 2u);
     EXPECT_EQ(rs.value().num_columns(), 2u);
@@ -423,17 +421,16 @@ TEST(Executor, OrderByQualifiedSpellingUnifiesWithSelect) {
   const std::string base =
       "SELECT department_id , SUM(salary) FROM employees GROUP BY "
       "department_id ORDER BY ";
-  for (Engine engine : {Engine::kColumnar, Engine::kRowAtATime}) {
+  for (ExecuteFn execute : kExecutors) {
     ExecContext plain_ctx;
     ExecContext qualified_ctx;
     ExecOptions plain;
-    plain.engine = engine;
     plain.context = &plain_ctx;
-    ExecOptions qualified = plain;
+    ExecOptions qualified;
     qualified.context = &qualified_ctx;
-    Result<ResultSet> a = Execute(Q(base + "SUM(salary) DESC"), db, plain);
+    Result<ResultSet> a = execute(Q(base + "SUM(salary) DESC"), db, plain);
     Result<ResultSet> b =
-        Execute(Q(base + "SUM(employees.salary) DESC"), db, qualified);
+        execute(Q(base + "SUM(employees.salary) DESC"), db, qualified);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     ExpectSameResult(a.value(), b.value(), "qualified order spelling");
@@ -444,7 +441,7 @@ TEST(Executor, OrderByQualifiedSpellingUnifiesWithSelect) {
 }
 
 TEST(Executor, OrderByTiesKeepInputOrder) {
-  // std::stable_sort contract, pinned across engines and standard
+  // std::stable_sort contract, pinned across both executors and standard
   // libraries: rows with equal keys stay in working-set order.
   DatabaseData db = MakeDb();
   const dvq::Query asc =
@@ -457,12 +454,10 @@ TEST(Executor, OrderByTiesKeepInputOrder) {
                                              "eve"};
   const std::vector<std::string> want_desc = {"eve", "cho", "dee", "ann",
                                               "bob"};
-  for (Engine engine : {Engine::kColumnar, Engine::kRowAtATime}) {
-    ExecOptions options;
-    options.engine = engine;
+  for (ExecuteFn execute : kExecutors) {
     for (const auto& [query, want] :
          {std::pair{&asc, &want_asc}, std::pair{&desc, &want_desc}}) {
-      Result<ResultSet> rs = Execute(*query, db, options);
+      Result<ResultSet> rs = execute(*query, db, {});
       ASSERT_TRUE(rs.ok());
       ASSERT_EQ(rs.value().num_rows(), want->size());
       for (std::size_t i = 0; i < want->size(); ++i) {
@@ -472,7 +467,9 @@ TEST(Executor, OrderByTiesKeepInputOrder) {
   }
 }
 
-// Property: hash join and nested-loop join agree on random join queries.
+// Property: the production columnar hash join and the reference's
+// row-at-a-time hash join agree on random join queries with duplicate
+// and dangling keys.
 class JoinEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(JoinEquivalence, StrategiesAgree) {
@@ -509,23 +506,11 @@ TEST_P(JoinEquivalence, StrategiesAgree) {
       "child.pid GROUP BY label ORDER BY COUNT(label) DESC",
   };
   for (const std::string& text : queries) {
-    // Every engine x strategy combination must agree bit for bit.
-    std::optional<ResultSet> want;
-    for (Engine engine : {Engine::kColumnar, Engine::kRowAtATime}) {
-      for (JoinStrategy strategy :
-           {JoinStrategy::kHashJoin, JoinStrategy::kNestedLoop}) {
-        ExecOptions options;
-        options.engine = engine;
-        options.join_strategy = strategy;
-        Result<ResultSet> rs = Execute(Q(text), db, options);
-        ASSERT_TRUE(rs.ok()) << text;
-        if (!want.has_value()) {
-          want = std::move(rs).value();
-          continue;
-        }
-        ExpectSameResult(*want, rs.value(), text);
-      }
-    }
+    Result<ResultSet> want = reference::Execute(Q(text), db);
+    Result<ResultSet> got = Execute(Q(text), db);
+    ASSERT_TRUE(want.ok()) << text;
+    ASSERT_TRUE(got.ok()) << text;
+    ExpectSameResult(want.value(), got.value(), text);
   }
 }
 

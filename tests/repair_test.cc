@@ -12,9 +12,9 @@
 //     diagnostics than the input).
 //
 // The estimator's contract is the upper bound the serve cost gate
-// leans on: for every subquery-free corpus query, the estimate
-// dominates the executor's measured ExecContext charges on every
-// engine × join-strategy combination.
+// leans on: for every corpus query, the estimate dominates the measured
+// ExecContext charges of both the production executor and its
+// row-at-a-time reference.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +29,7 @@
 #include "dataset/benchmark.h"
 #include "dvq/parser.h"
 #include "exec/executor.h"
+#include "exec/reference_executor.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -258,6 +259,31 @@ TEST(Repairer, MaxRepairsBoundsAcceptedSteps) {
 // ---------------------------------------------------------------------------
 // Cost estimator: provable upper bound on executor charges.
 
+using ExecuteFn = Result<exec::ResultSet> (*)(const dvq::DVQ&,
+                                              const storage::DatabaseData&,
+                                              const exec::ExecOptions&);
+
+/// Production executor first, then its reference (which re-executes
+/// scalar subqueries per row, the estimator's worst case).
+constexpr ExecuteFn kExecutors[] = {&exec::Execute, &exec::reference::Execute};
+
+/// Runs `dvq` under an unlimited guard and asserts every charge stays
+/// within `estimate`.
+void ExpectChargesWithin(ExecuteFn execute, const dvq::DVQ& dvq,
+                         const storage::DatabaseData& db,
+                         const analysis::CostEstimate& estimate,
+                         const std::string& label) {
+  ExecContext guard;  // unlimited: measure, never trip
+  exec::ExecOptions options;
+  options.context = &guard;
+  (void)execute(dvq, db, options);
+  ExecContext::Usage used = guard.usage();
+  EXPECT_LE(used.ticks, estimate.ticks) << label;
+  EXPECT_LE(used.rows, estimate.rows) << label;
+  EXPECT_LE(used.bytes, estimate.bytes) << label;
+  EXPECT_LE(used.join_rows, estimate.join_rows) << label;
+}
+
 TEST(CostEstimator, UpperBoundsExecutorChargesOnCorpus) {
   const BenchmarkSuite& suite = Corpus();
   std::size_t checked = 0;
@@ -271,29 +297,16 @@ TEST(CostEstimator, UpperBoundsExecutorChargesOnCorpus) {
     ASSERT_TRUE(estimate.ok())
         << example.id << ": " << estimate.status().ToString();
     ++checked;
-    for (exec::Engine engine :
-         {exec::Engine::kColumnar, exec::Engine::kRowAtATime}) {
-      for (exec::JoinStrategy strategy :
-           {exec::JoinStrategy::kHashJoin, exec::JoinStrategy::kNestedLoop}) {
-        ExecContext guard;  // unlimited: measure, never trip
-        exec::ExecOptions options;
-        options.engine = engine;
-        options.join_strategy = strategy;
-        options.context = &guard;
-        (void)exec::Execute(example.dvq, db->data, options);
-        ExecContext::Usage used = guard.usage();
-        EXPECT_LE(used.ticks, estimate.value().ticks) << example.id;
-        EXPECT_LE(used.rows, estimate.value().rows) << example.id;
-        EXPECT_LE(used.bytes, estimate.value().bytes) << example.id;
-        EXPECT_LE(used.join_rows, estimate.value().join_rows) << example.id;
-      }
+    for (ExecuteFn execute : kExecutors) {
+      ExpectChargesWithin(execute, example.dvq, db->data, estimate.value(),
+                          example.id);
     }
   }
   EXPECT_GE(checked, 100u);
 }
 
 TEST(CostEstimator, SubqueryChargesAreCovered) {
-  // The row engine re-executes a scalar subquery once per filtered row;
+  // The reference re-executes a scalar subquery once per filtered row;
   // the estimate must absorb that worst case too.
   const BenchmarkSuite& suite = Corpus();
   std::size_t checked = 0;
@@ -305,18 +318,9 @@ TEST(CostEstimator, SubqueryChargesAreCovered) {
     Result<analysis::CostEstimate> estimate = estimator.Estimate(example.dvq);
     if (!estimate.ok()) continue;
     ++checked;
-    for (exec::Engine engine :
-         {exec::Engine::kColumnar, exec::Engine::kRowAtATime}) {
-      ExecContext guard;
-      exec::ExecOptions options;
-      options.engine = engine;
-      options.context = &guard;
-      (void)exec::Execute(example.dvq, db->data, options);
-      ExecContext::Usage used = guard.usage();
-      EXPECT_LE(used.ticks, estimate.value().ticks) << example.id;
-      EXPECT_LE(used.rows, estimate.value().rows) << example.id;
-      EXPECT_LE(used.bytes, estimate.value().bytes) << example.id;
-      EXPECT_LE(used.join_rows, estimate.value().join_rows) << example.id;
+    for (ExecuteFn execute : kExecutors) {
+      ExpectChargesWithin(execute, example.dvq, db->data, estimate.value(),
+                          example.id);
     }
   }
   // The generator may or may not emit subqueries at this corpus size;

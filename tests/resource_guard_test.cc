@@ -165,10 +165,7 @@ dvq::DVQ ParseDvq(const std::string& text) {
   return parsed.value_or(dvq::DVQ{});
 }
 
-class ExecutorExhaustion : public ::testing::TestWithParam<exec::JoinStrategy> {
-};
-
-TEST_P(ExecutorExhaustion, CrossJoinTripsJoinBudgetCleanly) {
+TEST(ExecutorExhaustion, CrossJoinTripsJoinBudgetCleanly) {
   DatabaseData db = MakeCrossJoinDb(100, 100);  // 10,000 join rows
   dvq::DVQ dvq = ParseDvq(
       "Visualize BAR SELECT a , b FROM lhs JOIN rhs ON lhs.k = rhs.k");
@@ -176,7 +173,6 @@ TEST_P(ExecutorExhaustion, CrossJoinTripsJoinBudgetCleanly) {
   limits.join_budget = 1000;
   ExecContext guard(limits);
   ExecOptions options;
-  options.join_strategy = GetParam();
   options.context = &guard;
   Result<ResultSet> rs = Execute(dvq, db, options);
   ASSERT_FALSE(rs.ok());
@@ -186,14 +182,12 @@ TEST_P(ExecutorExhaustion, CrossJoinTripsJoinBudgetCleanly) {
   EXPECT_EQ(db.FindTable("lhs")->num_rows(), 100u);
   EXPECT_EQ(db.FindTable("rhs")->num_rows(), 100u);
   // Unguarded, the same query completes with the full cross product.
-  ExecOptions unguarded;
-  unguarded.join_strategy = GetParam();
-  Result<ResultSet> full = Execute(dvq, db, unguarded);
+  Result<ResultSet> full = Execute(dvq, db);
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(full.value().num_rows(), 10'000u);
 }
 
-TEST_P(ExecutorExhaustion, CrossJoinTripsRowBudgetMidOperator) {
+TEST(ExecutorExhaustion, CrossJoinTripsRowBudgetMidOperator) {
   DatabaseData db = MakeCrossJoinDb(50, 50);
   dvq::DVQ dvq = ParseDvq(
       "Visualize BAR SELECT a , b FROM lhs JOIN rhs ON lhs.k = rhs.k");
@@ -201,7 +195,6 @@ TEST_P(ExecutorExhaustion, CrossJoinTripsRowBudgetMidOperator) {
   limits.row_budget = 600;  // base scans cost 100; the join busts it
   ExecContext guard(limits);
   ExecOptions options;
-  options.join_strategy = GetParam();
   options.context = &guard;
   Result<ResultSet> rs = Execute(dvq, db, options);
   ASSERT_FALSE(rs.ok());
@@ -212,10 +205,6 @@ TEST_P(ExecutorExhaustion, CrossJoinTripsRowBudgetMidOperator) {
   EXPECT_GT(u.rows, 100u);
   EXPECT_LT(u.rows, 2600u);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothStrategies, ExecutorExhaustion,
-                         ::testing::Values(exec::JoinStrategy::kHashJoin,
-                                           exec::JoinStrategy::kNestedLoop));
 
 TEST(ExecutorGuard, HighCardinalityGroupByTripsMemoryBudget) {
   // Every row is its own group: group-by materializes one group per row.
