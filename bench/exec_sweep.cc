@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -45,40 +44,6 @@ namespace {
 
 using gred::Rng;
 using gred::storage::Value;
-
-/// Type-exact fingerprint (kind tag + payload, reals by bit pattern):
-/// any executor divergence changes it. Mirrors the differential test's.
-std::string Fingerprint(const gred::exec::ResultSet& rs) {
-  std::string out;
-  for (const std::string& name : rs.column_names) {
-    out += name;
-    out += '\x1f';
-  }
-  out += '\n';
-  for (const auto& row : rs.rows) {
-    for (const Value& v : row) {
-      if (v.is_null()) {
-        out += 'N';
-      } else if (v.is_int()) {
-        out += 'I';
-        out += std::to_string(v.int_value());
-      } else if (v.is_real()) {
-        std::uint64_t bits = 0;
-        const double d = v.real_value();
-        static_assert(sizeof(bits) == sizeof(d));
-        std::memcpy(&bits, &d, sizeof(bits));
-        out += 'R';
-        out += std::to_string(bits);
-      } else {
-        out += 'T';
-        out += v.text_value();
-      }
-      out += '\x1f';
-    }
-    out += '\n';
-  }
-  return out;
-}
 
 gred::dvq::ColumnRef Col(const std::string& table,
                          const std::string& column) {
@@ -255,7 +220,7 @@ int main(int argc, char** argv) {
         }
         if (rep == 0 || wall < best_s) best_s = wall;
         if (rep == 0) {
-          fingerprint = Fingerprint(result.value());
+          fingerprint = exec::reference::Fingerprint(result.value());
           result_rows = result.value().rows.size();
         }
       }

@@ -150,10 +150,10 @@ Result<CostEstimate> CostEstimator::EstimateQuery(const dvq::Query& q) const {
                        SatMul(live_rows, SatMul(width, kAccountedBytesPerCell)));
 
   // Joins fold left: the accumulated side probes, the fresh right table
-  // builds. Ticks: hash join pays L+R (build rows are charged even when
-  // the probe side is empty), nested-loop pays up to L*R — the max
-  // covers both strategies. Matches: each probe row meets at most
-  // max_count(build column) build rows.
+  // builds. Ticks: the hash join pays one per build row (charged even
+  // when the probe side is empty) plus one per probe row, L+R exactly.
+  // Matches: each probe row meets at most max_count(build column) build
+  // rows.
   for (const dvq::JoinClause& join : q.joins) {
     std::optional<std::size_t> right = TableIndex(*db_, join.table);
     if (!right.has_value()) {
@@ -182,9 +182,7 @@ Result<CostEstimate> CostEstimator::EstimateQuery(const dvq::Query& q) const {
         SatMul(live_rows, right_rows), SatMul(live_rows, max_count));
     const std::uint64_t merged_width =
         SatAdd(width, right_table.num_columns());
-    total.ticks = SatAdd(total.ticks,
-                         std::max(SatAdd(live_rows, right_rows),
-                                  SatMul(live_rows, right_rows)));
+    total.ticks = SatAdd(total.ticks, SatAdd(live_rows, right_rows));
     total.join_rows = SatAdd(total.join_rows, matches);
     total.rows = SatAdd(total.rows, matches);
     total.bytes = SatAdd(
@@ -195,9 +193,9 @@ Result<CostEstimate> CostEstimator::EstimateQuery(const dvq::Query& q) const {
     scope.AddTable(*right);
   }
 
-  // Filter: one tick per input row; the row engine re-executes every
-  // scalar subquery per row (the columnar engine hoists them, charging
-  // strictly less). Selectivity is bounded by 1: every row may survive.
+  // Filter: one tick per input row; the reference executor re-executes
+  // every scalar subquery per row (the production executor hoists them,
+  // charging strictly less), and the bound covers both. Selectivity is bounded by 1: every row may survive.
   if (q.where.has_value()) {
     total.ticks = SatAdd(total.ticks, live_rows);
     for (const dvq::Predicate& p : q.where->predicates) {

@@ -17,9 +17,9 @@ namespace gred::analysis {
 /// Predicted worst-case resource usage of one DVQ, in the exact charge
 /// units of ExecContext (DESIGN.md §17): accounted ticks, materialized
 /// rows, accounted bytes (kAccountedBytesPerCell per cell), and join
-/// matches. Every field is a proven upper bound on what either executor
-/// engine (row or columnar, hash or nested-loop join) will charge for
-/// the same query over the same data.
+/// matches. Every field is a proven upper bound on what the executor
+/// (exec::Execute) and its row-at-a-time reference will charge for the
+/// same query over the same data.
 struct CostEstimate {
   std::uint64_t ticks = 0;
   std::uint64_t rows = 0;

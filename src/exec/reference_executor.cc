@@ -1,6 +1,7 @@
 #include "exec/reference_executor.h"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -382,6 +383,34 @@ Result<ResultSet> Execute(const dvq::DVQ& query,
                           const storage::DatabaseData& db,
                           const ExecOptions& options) {
   return reference::Execute(query.query, db, options);
+}
+
+std::string Fingerprint(const ResultSet& rs) {
+  std::string out;
+  for (const std::string& name : rs.column_names) {
+    out += name;
+    out += '\x1f';
+  }
+  out += '\n';
+  for (const auto& row : rs.rows) {
+    for (const Value& v : row) {
+      if (v.is_null()) {
+        out += 'N';
+      } else if (v.is_int()) {
+        out += 'I';
+        out += std::to_string(v.int_value());
+      } else if (v.is_real()) {
+        out += 'R';
+        out += std::to_string(std::bit_cast<std::uint64_t>(v.real_value()));
+      } else {
+        out += 'T';
+        out += v.text_value();
+      }
+      out += '\x1f';
+    }
+    out += '\n';
+  }
+  return out;
 }
 
 }  // namespace gred::exec::reference

@@ -1,6 +1,8 @@
 #ifndef GREDVIS_EXEC_REFERENCE_EXECUTOR_H_
 #define GREDVIS_EXEC_REFERENCE_EXECUTOR_H_
 
+#include <string>
+
 #include "exec/executor.h"
 
 /// The row-at-a-time reference executor: the executable semantics that
@@ -25,6 +27,13 @@ Result<ResultSet> Execute(const dvq::Query& query,
 Result<ResultSet> Execute(const dvq::DVQ& query,
                           const storage::DatabaseData& db,
                           const ExecOptions& options = {});
+
+/// Type-exact fingerprint of a ResultSet: column names, row order, and
+/// for each cell a kind tag plus an exact payload (ints by value, reals
+/// by bit pattern, text raw). Any divergence between the executors —
+/// including int-vs-real kind drift or a different double-accumulation
+/// order — changes it.
+std::string Fingerprint(const ResultSet& rs);
 
 }  // namespace gred::exec::reference
 

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <map>
 #include <string>
 #include <vector>
@@ -345,39 +344,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ExecutorDifferential,
 // absent scalar subqueries, which it hoists — charge-identical on guards.
 // ---------------------------------------------------------------------------
 
-/// Type-exact fingerprint of a ResultSet: column names, row order, and
-/// for each cell a kind tag plus an exact payload (ints by value, reals
-/// by bit pattern, text raw). Any divergence between executors — including
-/// int-vs-real kind drift or a different double-accumulation order —
-/// changes the fingerprint.
-std::string Fingerprint(const exec::ResultSet& rs) {
-  std::string out;
-  for (const std::string& name : rs.column_names) {
-    out += name;
-    out += '\x1f';
-  }
-  out += '\n';
-  for (const auto& row : rs.rows) {
-    for (const Value& v : row) {
-      if (v.is_null()) {
-        out += 'N';
-      } else if (v.is_int()) {
-        out += 'I';
-        out += std::to_string(v.int_value());
-      } else if (v.is_real()) {
-        out += 'R';
-        out += std::to_string(std::bit_cast<std::uint64_t>(v.real_value()));
-      } else {
-        out += 'T';
-        out += v.text_value();
-      }
-      out += '\x1f';
-    }
-    out += '\n';
-  }
-  return out;
-}
-
 bool HasSubquery(const dvq::Query& q) {
   if (!q.where.has_value()) return false;
   for (const auto& p : q.where->predicates) {
@@ -404,7 +370,8 @@ void ExpectEnginesAgree(const dvq::Query& q, const storage::DatabaseData& db,
     EXPECT_EQ(a.status().message(), b.status().message()) << label;
     return;
   }
-  EXPECT_EQ(Fingerprint(a.value()), Fingerprint(b.value())) << label;
+  EXPECT_EQ(exec::reference::Fingerprint(a.value()),
+              exec::reference::Fingerprint(b.value())) << label;
   if (!check_usage) return;
   ExecContext row_ctx;
   ExecContext col_ctx;
@@ -446,7 +413,8 @@ void ExpectTripParity(const dvq::Query& q, const storage::DatabaseData& db,
     EXPECT_EQ(a.status().code(), b.status().code()) << label;
   }
   if (a.ok() && b.ok()) {
-    EXPECT_EQ(Fingerprint(a.value()), Fingerprint(b.value())) << label;
+    EXPECT_EQ(exec::reference::Fingerprint(a.value()),
+              exec::reference::Fingerprint(b.value())) << label;
   }
 }
 

@@ -309,20 +309,7 @@ TEST(Executor, NullSemanticsInPredicates) {
 /// cell-for-cell identical values (kind included).
 void ExpectSameResult(const ResultSet& a, const ResultSet& b,
                       const std::string& label) {
-  ASSERT_EQ(a.column_names, b.column_names) << label;
-  ASSERT_EQ(a.num_rows(), b.num_rows()) << label;
-  for (std::size_t r = 0; r < a.num_rows(); ++r) {
-    ASSERT_EQ(a.rows[r].size(), b.rows[r].size()) << label;
-    for (std::size_t c = 0; c < a.rows[r].size(); ++c) {
-      const Value& x = a.rows[r][c];
-      const Value& y = b.rows[r][c];
-      EXPECT_TRUE(x.is_null() == y.is_null() && x.is_int() == y.is_int() &&
-                  x.is_real() == y.is_real() && x.is_text() == y.is_text() &&
-                  x.Compare(y) == 0)
-          << label << " row " << r << " col " << c << ": " << x.ToString()
-          << " vs " << y.ToString();
-    }
-  }
+  EXPECT_EQ(reference::Fingerprint(a), reference::Fingerprint(b)) << label;
 }
 
 using ExecuteFn = Result<ResultSet> (*)(const dvq::Query&,

@@ -323,10 +323,46 @@ TEST(CostEstimator, SubqueryChargesAreCovered) {
                           example.id);
     }
   }
-  // The generator may or may not emit subqueries at this corpus size;
-  // when it does, every one must be covered (the loop asserts), and
-  // this test is not allowed to silently skip a failing estimate.
-  (void)checked;
+  // The corpus carries a handful of subquery examples; a generator
+  // change that drops them all must not leave this test vacuous.
+  EXPECT_GE(checked, 1u);
+}
+
+TEST(CostEstimator, JoinTicksAreExactForHashJoin) {
+  // A bare join on a unique build key leaves nothing to over-approximate:
+  // scan L, hash build R + probe L, project L matches. Pricing the join
+  // at L*R would overshoot by 23 ticks here.
+  schema::Database db_schema("pair");
+  for (const char* name : {"lhs", "rhs"}) {
+    schema::TableDef table(name, {});
+    table.AddColumn({"k", schema::ColumnType::kInt, false});
+    table.AddColumn({std::string(name) + "_v", schema::ColumnType::kInt,
+                     false});
+    db_schema.AddTable(std::move(table));
+  }
+  storage::DatabaseData db(std::move(db_schema));
+  for (int i = 0; i < 7; ++i) {
+    const auto row = [i](int k) {
+      return std::vector<storage::Value>{storage::Value::Int(k),
+                                         storage::Value::Int(i)};
+    };
+    ASSERT_TRUE(db.FindTable("lhs")->AppendRow(row(i % 5)).ok());
+    if (i < 5) {
+      ASSERT_TRUE(db.FindTable("rhs")->AppendRow(row(i)).ok());
+    }
+  }
+  Result<dvq::DVQ> dvq = dvq::Parse(
+      "Visualize BAR SELECT lhs_v , rhs_v FROM lhs JOIN rhs ON lhs.k = rhs.k");
+  ASSERT_TRUE(dvq.ok()) << dvq.status().ToString();
+  Result<analysis::CostEstimate> estimate =
+      analysis::CostEstimator(&db).Estimate(dvq.value());
+  ASSERT_TRUE(estimate.ok()) << estimate.status().ToString();
+  ExecContext guard;
+  exec::ExecOptions options;
+  options.context = &guard;
+  ASSERT_TRUE(exec::Execute(dvq.value(), db, options).ok());
+  EXPECT_EQ(guard.usage().ticks, 7u + (5u + 7u) + 7u);
+  EXPECT_EQ(estimate.value().ticks, guard.usage().ticks);
 }
 
 TEST(CostEstimator, ExceedsReportsTheTrippedBudget) {
