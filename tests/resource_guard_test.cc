@@ -11,6 +11,7 @@
 
 #include "dvq/parser.h"
 #include "exec/executor.h"
+#include "exec/reference_executor.h"
 #include "util/resource_guard.h"
 
 namespace gred {
@@ -165,7 +166,21 @@ dvq::DVQ ParseDvq(const std::string& text) {
   return parsed.value_or(dvq::DVQ{});
 }
 
-TEST(ExecutorExhaustion, CrossJoinTripsJoinBudgetCleanly) {
+// Both execution strategies must trip the same budgets cleanly: the
+// production columnar executor and the row-at-a-time reference.
+enum class Strategy { kColumnar, kReference };
+
+class ExecutorExhaustion : public ::testing::TestWithParam<Strategy> {
+ protected:
+  Result<ResultSet> Run(const dvq::DVQ& dvq, const DatabaseData& db,
+                        const ExecOptions& options = {}) const {
+    return GetParam() == Strategy::kColumnar
+               ? Execute(dvq, db, options)
+               : exec::reference::Execute(dvq, db, options);
+  }
+};
+
+TEST_P(ExecutorExhaustion, CrossJoinTripsJoinBudgetCleanly) {
   DatabaseData db = MakeCrossJoinDb(100, 100);  // 10,000 join rows
   dvq::DVQ dvq = ParseDvq(
       "Visualize BAR SELECT a , b FROM lhs JOIN rhs ON lhs.k = rhs.k");
@@ -174,7 +189,7 @@ TEST(ExecutorExhaustion, CrossJoinTripsJoinBudgetCleanly) {
   ExecContext guard(limits);
   ExecOptions options;
   options.context = &guard;
-  Result<ResultSet> rs = Execute(dvq, db, options);
+  Result<ResultSet> rs = Run(dvq, db, options);
   ASSERT_FALSE(rs.ok());
   EXPECT_EQ(rs.status().code(), StatusCode::kResourceExhausted);
   EXPECT_TRUE(guard.exhausted());
@@ -182,12 +197,12 @@ TEST(ExecutorExhaustion, CrossJoinTripsJoinBudgetCleanly) {
   EXPECT_EQ(db.FindTable("lhs")->num_rows(), 100u);
   EXPECT_EQ(db.FindTable("rhs")->num_rows(), 100u);
   // Unguarded, the same query completes with the full cross product.
-  Result<ResultSet> full = Execute(dvq, db);
+  Result<ResultSet> full = Run(dvq, db);
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(full.value().num_rows(), 10'000u);
 }
 
-TEST(ExecutorExhaustion, CrossJoinTripsRowBudgetMidOperator) {
+TEST_P(ExecutorExhaustion, CrossJoinTripsRowBudgetMidOperator) {
   DatabaseData db = MakeCrossJoinDb(50, 50);
   dvq::DVQ dvq = ParseDvq(
       "Visualize BAR SELECT a , b FROM lhs JOIN rhs ON lhs.k = rhs.k");
@@ -196,7 +211,7 @@ TEST(ExecutorExhaustion, CrossJoinTripsRowBudgetMidOperator) {
   ExecContext guard(limits);
   ExecOptions options;
   options.context = &guard;
-  Result<ResultSet> rs = Execute(dvq, db, options);
+  Result<ResultSet> rs = Run(dvq, db, options);
   ASSERT_FALSE(rs.ok());
   EXPECT_EQ(rs.status().code(), StatusCode::kResourceExhausted);
   // The trip happened mid-join: more than the scans, less than the full
@@ -205,6 +220,10 @@ TEST(ExecutorExhaustion, CrossJoinTripsRowBudgetMidOperator) {
   EXPECT_GT(u.rows, 100u);
   EXPECT_LT(u.rows, 2600u);
 }
+
+INSTANTIATE_TEST_SUITE_P(BothStrategies, ExecutorExhaustion,
+                         ::testing::Values(Strategy::kColumnar,
+                                           Strategy::kReference));
 
 TEST(ExecutorGuard, HighCardinalityGroupByTripsMemoryBudget) {
   // Every row is its own group: group-by materializes one group per row.
