@@ -94,7 +94,8 @@ BENCHMARK(BM_PostingListStoreTopKDvq)->Arg(1)->Arg(10)->Arg(50);
 
 // Library build cost of the exact backend: Add + Seal of the default
 // 6000-row NLQ library from rows embedded once up front, so the time is
-// the store's alone (EmbedLibrary embeds on every core before it Adds).
+// the store's alone (models::LibraryIndex embeds on every core before it
+// Adds).
 void BM_PostingListStoreBuild(benchmark::State& state) {
   static const std::vector<gred::embed::SparseRow>* const kRows = [] {
     const BenchmarkSuite suite =

@@ -153,8 +153,8 @@ cmake --build "$ROOT/build-tsan" -j"$JOBS" \
 # pool binary includes the ParallelFor tests.
 TSAN_OPTIONS="halt_on_error=1" "$ROOT/build-tsan/tests/thread_pool_test"
 # The preparatory phase renders the suite, derives the schema splits and
-# embeds both libraries (through GRED's shared CachingEmbedder) on every
-# core; its golden digests and cache counters must hold race-free.
+# embeds both libraries (each distinct text once) on every core; its
+# golden digests and fold counters must hold race-free.
 TSAN_OPTIONS="halt_on_error=1" "$ROOT/build-tsan/tests/preparatory_phase_test"
 TSAN_OPTIONS="halt_on_error=1" "$ROOT/build-tsan/tests/eval_test" \
   --gtest_filter='ParallelHarness.*'
@@ -164,10 +164,11 @@ TSAN_OPTIONS="halt_on_error=1" "$ROOT/build-tsan/tests/gred_test" \
   --gtest_filter='*Degraded*:*RetryRecovers*:*GeneratorFailure*:*ConcurrentRuns*'
 # RetrievalIndexFacade.* includes both exact-backend TopK hammers, one
 # over a sealed real NLQ library; CachingEmbedder.* hammers the sparse-row
-# cache from eight threads.
+# cache from eight threads; LibraryDedup.* runs eight threads of TopK on
+# the deduplicated NLQ and DVQ libraries (minus its full-corpus replay).
 TSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-tsan/tests/retrieval_equivalence_test" \
-  --gtest_filter='CachingEmbedder.*:RetrievalIndexFacade.*'
+  --gtest_filter='CachingEmbedder.*:RetrievalIndexFacade.*:LibraryDedup.*-LibraryDedup.DefaultSuite*'
 # The SIMD dot kernel resolves its dispatch target once per process
 # (magic static); the hammer races many threads through
 # Dot() and must stay data-race-free and bit-identical.
@@ -239,13 +240,14 @@ ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
 # ANN differential smoke: IVF's int8 list scan (aligned code buffers,
 # pointer-stride arithmetic; the randomized grid and the seed-corpus
 # replay against the exact store) and its float probe path, plus the
-# RetrievalIndex facade and the bound-pruned posting-list search with
-# its CSR rescore (minus its full-corpus replay), under ASan+UBSan — an
-# overread in a SIMD tail, a stride miscalculation or a stray
-# accumulator index fails here, not in prod.
+# RetrievalIndex facade, the bound-pruned posting-list search with its
+# CSR rescore and the deduplicated libraries' group CSR and expansion
+# (minus their full-corpus replays), under ASan+UBSan — an overread in a
+# SIMD tail, a stride miscalculation or a stray accumulator or group
+# index fails here, not in prod.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-asan/tests/retrieval_equivalence_test" \
-  --gtest_filter='IvfEquivalence.*:RetrievalIndexFacade.*:PostingListEquivalence.*-PostingListEquivalence.DefaultSuite*'
+  --gtest_filter='IvfEquivalence.*:RetrievalIndexFacade.*:PostingListEquivalence.*:LibraryDedup.*-PostingListEquivalence.DefaultSuite*:LibraryDedup.DefaultSuite*'
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   "$ROOT/build-asan/tests/kernel_dispatch_test"
 # The embedders write their buckets into per-thread scratch and emit

@@ -21,10 +21,11 @@ namespace gred::embed {
 /// is unbounded: every distinct text stays resident for the embedder's
 /// lifetime.
 ///
-/// Repeated embeds of the same text are common: every eval thread embeds
-/// the same NLQs during fault sweeps and k-sweeps, and GRED's retuner
-/// re-embeds generator outputs that collide across examples. The cache is
-/// sharded by text fingerprint (FNV-1a), so concurrent eval threads
+/// GRED does not use it: its libraries embed each distinct text once
+/// (models::LibraryIndex) and its queries cost a few microseconds to
+/// embed afresh. It serves callers that re-embed the same texts on
+/// purpose, such as a replay that times TopK apart from embedding. The
+/// cache is sharded by text fingerprint (FNV-1a), so concurrent threads
 /// rarely contend on the same mutex; entries verify the full text on hit,
 /// so a fingerprint collision falls back to computing (never returns the
 /// wrong embedding). Misses compute outside the shard lock — the inner

@@ -40,15 +40,10 @@ Gred::Gred(const models::TrainingCorpus& corpus, const llm::ChatModel* llm,
     : config_(std::move(config)), llm_(llm), databases_(corpus.databases) {
   // Preparatory phase (Section 4.1): the embedding vector library over
   // the training split's NLQs and DVQs, built with the semantic embedder
-  // (the stand-in for text-embedding-3-large). The memoizing wrapper is
-  // shared by every Translate thread: fault sweeps and k-sweeps re-embed
-  // the same NLQs and generator outputs, which become cache hits.
-  embedder_ = std::make_unique<embed::CachingEmbedder>(
-      std::make_unique<embed::SemanticHashEmbedder>());
-  nlq_index_ = std::make_unique<models::ExampleIndex>(corpus.train,
-                                                      embedder_.get());
-  dvq_index_ =
-      std::make_unique<models::DvqIndex>(corpus.train, embedder_.get());
+  // (the stand-in for text-embedding-3-large). Each library embeds a
+  // repeated text once; queries are embedded afresh on every call.
+  nlq_index_ = std::make_unique<models::ExampleIndex>(corpus.train, &embedder_);
+  dvq_index_ = std::make_unique<models::DvqIndex>(corpus.train, &embedder_);
   for (const dataset::GeneratedDatabase& db : *corpus.databases) {
     db_schema_prompts_[strings::ToLower(db.data.name())] =
         db.data.db_schema().RenderSchemaPrompt();
@@ -93,6 +88,13 @@ Result<std::size_t> Gred::PrepareAnnotations(
     }
   }
   return annotated;
+}
+
+embed::CachingEmbedder::Stats Gred::embed_cache_stats() const {
+  const std::size_t distinct =
+      nlq_index_->distinct_size() + dvq_index_->distinct_size();
+  return {.hits = nlq_index_->size() + dvq_index_->size() - distinct,
+          .misses = distinct};
 }
 
 Gred::StageStats Gred::stage_stats() const {

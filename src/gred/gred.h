@@ -185,12 +185,12 @@ class Gred : public models::TextToVisModel {
   };
   StageStats stage_stats() const;
 
-  /// Hit/miss counters of the shared embedding cache (all Run threads
-  /// embed through one CachingEmbedder; fault sweeps and k-sweeps
-  /// re-embed the same NLQs, so hits dominate on re-runs).
-  embed::CachingEmbedder::Stats embed_cache_stats() const {
-    return embedder_->stats();
-  }
+  /// The embedding libraries' fold counts, in the shape of the
+  /// CachingEmbedder counters they replace: `misses` is the distinct NLQ
+  /// and DVQ texts the preparatory phase embedded, `hits` the training
+  /// rows folded into an earlier row with the same text. Fixed at
+  /// construction: Run embeds each query afresh and keeps nothing.
+  embed::CachingEmbedder::Stats embed_cache_stats() const;
 
   const GredConfig& config() const { return config_; }
 
@@ -237,7 +237,7 @@ class Gred : public models::TextToVisModel {
   GredConfig config_;
   const llm::ChatModel* llm_;  // not owned
   const std::vector<dataset::GeneratedDatabase>* databases_;
-  std::unique_ptr<embed::CachingEmbedder> embedder_;
+  embed::SemanticHashEmbedder embedder_;
   std::unique_ptr<models::ExampleIndex> nlq_index_;
   std::unique_ptr<models::DvqIndex> dvq_index_;
   std::map<std::string, std::string> db_schema_prompts_;  // by db name

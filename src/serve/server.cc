@@ -338,8 +338,8 @@ std::string Server::Process(const Request& request, bool brownout) const {
                                           "'"));
   }
 
-  // Translation runs on the epoch's shared Gred (shared CachingEmbedder
-  // + annotation caches across all sessions); the returned trace
+  // Translation runs on the epoch's shared Gred (read-only embedding
+  // libraries + annotation cache across all sessions); the returned trace
   // carries this request's own degradation flags. Brownout admissions
   // shed the retuner/debugger stages — the quality slope that replaces
   // the reject cliff.

@@ -251,8 +251,8 @@ struct ServerStats {
 /// The long-lived serving loop (DESIGN.md §13, hardened in §16):
 /// newline-delimited JSON requests in, JSON responses out, a bounded
 /// worker pool over the shared ThreadPool, and one shared Gred instance
-/// per epoch so every session hits the same CachingEmbedder and
-/// annotation caches.
+/// per epoch so every session reads the same embedding libraries and
+/// hits the same annotation cache.
 ///
 /// Request flow: Submit parses and validates on the caller's thread
 /// (cheap, and rejections must not consume queue slots), answers stats

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "dataset/benchmark.h"
+#include "dvq/parser.h"
 #include "exec/executor.h"
 #include "exec/reference_executor.h"
 #include "exec/scalar.h"
@@ -451,6 +452,58 @@ TEST_P(EngineDifferential, ColumnarMatchesRowEngineOnEvalSuite) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineDifferential,
                          ::testing::Values(1, 2, 3));
+
+// Named case: duplicate and dangling join keys. child.pid draws from
+// 0..10 against parent ids 1..8, so most parents match several children
+// and some children (pid 0, 9, 10) match none. A plain join, a grouped
+// join and a grouped, ordered join with the keys swapped must agree on
+// results and charges, and trip identically under a join budget.
+class JoinEquivalence : public ::testing::TestWithParam<int> {};
+
+TEST_P(JoinEquivalence, StrategiesAgree) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 31 + 7);
+  schema::Database db_schema("d");
+  schema::TableDef parent("parent", {});
+  parent.AddColumn({"id", schema::ColumnType::kInt, true});
+  parent.AddColumn({"label", schema::ColumnType::kText, false});
+  db_schema.AddTable(std::move(parent));
+  schema::TableDef child("child", {});
+  child.AddColumn({"cid", schema::ColumnType::kInt, true});
+  child.AddColumn({"pid", schema::ColumnType::kInt, false});
+  child.AddColumn({"v", schema::ColumnType::kInt, false});
+  db_schema.AddTable(std::move(child));
+  storage::DatabaseData db(std::move(db_schema));
+  storage::DataTable* p = db.FindTable("parent");
+  for (int i = 1; i <= 8; ++i) {
+    ASSERT_TRUE(
+        p->AppendRow({Value::Int(i),
+                      Value::Text(std::string(1, static_cast<char>('a' + i)))})
+            .ok());
+  }
+  storage::DataTable* c = db.FindTable("child");
+  for (int i = 1; i <= 60; ++i) {
+    ASSERT_TRUE(c->AppendRow({Value::Int(i), Value::Int(rng.NextInt(0, 10)),
+                              Value::Int(rng.NextInt(0, 100))})
+                    .ok());
+  }
+  const std::vector<std::string> queries = {
+      "SELECT label , v FROM child JOIN parent ON child.pid = parent.id",
+      "SELECT label , SUM(v) FROM child JOIN parent ON child.pid = "
+      "parent.id GROUP BY label",
+      "SELECT label , COUNT(label) FROM child JOIN parent ON parent.id = "
+      "child.pid GROUP BY label ORDER BY COUNT(label) DESC",
+  };
+  for (const std::string& text : queries) {
+    Result<dvq::Query> q = dvq::ParseQuery(text);
+    ASSERT_TRUE(q.ok()) << text;
+    ExpectEnginesAgree(q.value(), db, /*check_usage=*/true, text);
+    GuardLimits limits;
+    limits.join_budget = static_cast<std::uint64_t>(rng.NextInt(1, 60));
+    ExpectTripParity(q.value(), db, limits, text);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, JoinEquivalence, ::testing::Range(1, 7));
 
 // ---------------------------------------------------------------------------
 // Randomized differential: structured random queries over hand-built

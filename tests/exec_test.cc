@@ -8,7 +8,6 @@
 #include "exec/executor.h"
 #include "exec/reference_executor.h"
 #include "exec/scalar.h"
-#include "util/rng.h"
 
 namespace gred::exec {
 namespace {
@@ -453,55 +452,6 @@ TEST(Executor, OrderByTiesKeepInputOrder) {
     }
   }
 }
-
-// Property: the production columnar hash join and the reference's
-// row-at-a-time hash join agree on random join queries with duplicate
-// and dangling keys.
-class JoinEquivalence : public ::testing::TestWithParam<int> {};
-
-TEST_P(JoinEquivalence, StrategiesAgree) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 31 + 7);
-  schema::Database db_schema("d");
-  schema::TableDef parent("parent", {});
-  parent.AddColumn({"id", schema::ColumnType::kInt, true});
-  parent.AddColumn({"label", schema::ColumnType::kText, false});
-  db_schema.AddTable(std::move(parent));
-  schema::TableDef child("child", {});
-  child.AddColumn({"cid", schema::ColumnType::kInt, true});
-  child.AddColumn({"pid", schema::ColumnType::kInt, false});
-  child.AddColumn({"v", schema::ColumnType::kInt, false});
-  db_schema.AddTable(std::move(child));
-  DatabaseData db(std::move(db_schema));
-  storage::DataTable* p = db.FindTable("parent");
-  for (int i = 1; i <= 8; ++i) {
-    ASSERT_TRUE(
-        p->AppendRow({Value::Int(i),
-                      Value::Text(std::string(1, static_cast<char>('a' + i)))})
-            .ok());
-  }
-  storage::DataTable* c = db.FindTable("child");
-  for (int i = 1; i <= 60; ++i) {
-    ASSERT_TRUE(c->AppendRow({Value::Int(i), Value::Int(rng.NextInt(0, 10)),
-                              Value::Int(rng.NextInt(0, 100))})
-                    .ok());
-  }
-  const std::vector<std::string> queries = {
-      "SELECT label , v FROM child JOIN parent ON child.pid = parent.id",
-      "SELECT label , SUM(v) FROM child JOIN parent ON child.pid = "
-      "parent.id GROUP BY label",
-      "SELECT label , COUNT(label) FROM child JOIN parent ON parent.id = "
-      "child.pid GROUP BY label ORDER BY COUNT(label) DESC",
-  };
-  for (const std::string& text : queries) {
-    Result<ResultSet> want = reference::Execute(Q(text), db);
-    Result<ResultSet> got = Execute(Q(text), db);
-    ASSERT_TRUE(want.ok()) << text;
-    ASSERT_TRUE(got.ok()) << text;
-    ExpectSameResult(want.value(), got.value(), text);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, JoinEquivalence, ::testing::Range(1, 7));
 
 TEST(Scalar, LikeMatch) {
   EXPECT_TRUE(LikeMatch("%ab%", "drab day"));

@@ -9,9 +9,11 @@
 // must in turn match that dense scan bit for bit, on random sparse
 // vectors, on inputs aimed at its score bound and stop test, and on the
 // benchmark's real NLQ and DVQ libraries, and stay identical under
-// many-thread TopK hammers. The CachingEmbedder is hammered from many
-// threads and must behave exactly like its inner embedder. The hammers
-// run under TSan in scripts/tier1.sh.
+// many-thread TopK hammers. The training libraries, which keep one
+// retrieval row per distinct text, must answer exactly like an index
+// with one row per training example. The CachingEmbedder is hammered
+// from many threads and must behave exactly like its inner embedder.
+// The hammers run under TSan in scripts/tier1.sh.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +34,7 @@
 #include "embed/posting_list_store.h"
 #include "embed/retrieval_index.h"
 #include "embed/vector_store.h"
+#include "models/retrieval.h"
 #include "util/rng.h"
 
 namespace gred::embed {
@@ -1117,6 +1121,268 @@ TEST(CachingEmbedder, ConcurrentSparseHitsMatchSerial) {
   for (std::size_t i = 0; i < texts.size(); ++i) {
     EXPECT_EQ(cached.Embed(texts[i]), serial[i]);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The training libraries (models/retrieval.h) fold rows with equal text
+// into one retrieval row. Their hits must be those of a RetrievalIndex
+// with one row per training example: the same training rows in the same
+// order with the same score bits.
+// ---------------------------------------------------------------------------
+
+std::string NlqOf(const dataset::Example& ex) { return ex.nlq; }
+std::string DvqOf(const dataset::Example& ex) { return ex.DvqText(); }
+
+/// The row-per-example oracle: every training row's text embedded and
+/// added in training order, on the exact backend.
+void BuildRowPerExample(const std::vector<dataset::Example>& train,
+                        const TextEmbedder& embedder,
+                        std::string (*text_of)(const dataset::Example&),
+                        RetrievalIndex* index) {
+  for (const dataset::Example& ex : train) {
+    index->Add(embedder.Embed(text_of(ex)));
+  }
+  index->Seal();
+}
+
+/// Compares a library's hits for `query` with the oracle's at `k`; each
+/// library hit must also point at its own training row.
+void ExpectLibraryMatchesOracle(const models::LibraryIndex& library,
+                                const RetrievalIndex& oracle,
+                                const TextEmbedder& embedder,
+                                const std::vector<dataset::Example>& train,
+                                const std::string& query, std::size_t k) {
+  SCOPED_TRACE("k=" + std::to_string(k) + " query: " + query);
+  std::vector<Hit> rows;
+  for (const models::LibraryIndex::Hit& hit : library.TopK(query, k)) {
+    ASSERT_LT(hit.index, train.size());
+    EXPECT_EQ(hit.example, &train[hit.index]);
+    rows.push_back(Hit{hit.index, hit.score});
+  }
+  ExpectBitIdentical(rows, oracle.TopK(embedder.Embed(query), k));
+}
+
+/// Maps every text to one of four unit rows by its FNV-1a hash, two of
+/// them equal: different texts share rows, so distinct library rows tie
+/// on score and their groups' members interleave across every rank.
+class CollidingEmbedder : public TextEmbedder {
+ public:
+  SparseRow Embed(const std::string& text) const override {
+    SparseRow row;
+    row.dimension = 2;
+    switch (Fnv1a64(text) % 4) {
+      case 0:
+      case 1:
+        row.dims = {0};
+        row.values = {1.0f};
+        break;
+      case 2:
+        row.dims = {1};
+        row.values = {1.0f};
+        break;
+      default:
+        row.dims = {0, 1};
+        row.values = {0.6f, 0.8f};
+        break;
+    }
+    return row;
+  }
+  std::size_t dimension() const override { return 2; }
+};
+
+/// `rows` examples whose NLQs are drawn from `texts` distinct strings.
+std::vector<dataset::Example> RepeatingNlqs(Rng* rng, std::size_t rows,
+                                            std::size_t texts) {
+  std::vector<dataset::Example> train(rows);
+  for (dataset::Example& ex : train) {
+    ex.nlq = "text " + std::to_string(rng->NextIndex(texts));
+  }
+  return train;
+}
+
+TEST(LibraryDedup, FoldsEqualTextsIntoOneRow) {
+  Rng rng(5);
+  const std::vector<dataset::Example> train = RepeatingNlqs(&rng, 60, 12);
+  std::set<std::string> distinct;
+  for (const dataset::Example& ex : train) distinct.insert(ex.nlq);
+  const SemanticHashEmbedder embedder;
+  const models::ExampleIndex index(&train, &embedder, RetrievalConfig{});
+  EXPECT_EQ(index.size(), train.size());
+  EXPECT_EQ(index.distinct_size(), distinct.size());
+  // A text's exact match scores 1 and lists all its rows, ascending.
+  const std::vector<models::ExampleIndex::Hit> hits =
+      index.TopK(train[0].nlq, train.size());
+  std::vector<std::size_t> want;
+  for (std::size_t i = 0; i < train.size(); ++i) {
+    if (train[i].nlq == train[0].nlq) want.push_back(i);
+  }
+  ASSERT_GE(hits.size(), want.size());
+  for (std::size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ(hits[r].index, want[r]) << "rank " << r;
+  }
+}
+
+TEST(LibraryDedup, TiedGroupsStraddlingRankKMatchRowPerExample) {
+  const CollidingEmbedder embedder;
+  Rng rng(11);
+  const std::vector<dataset::Example> nlqs = RepeatingNlqs(&rng, 60, 12);
+  const models::ExampleIndex nlq_index(&nlqs, &embedder, RetrievalConfig{});
+  RetrievalIndex nlq_oracle;
+  BuildRowPerExample(nlqs, embedder, &NlqOf, &nlq_oracle);
+  ASSERT_LT(nlq_index.distinct_size(), nlqs.size());
+  std::vector<std::string> queries = {"unseen 1", "unseen 2", "unseen 3"};
+  for (std::size_t t = 0; t < 12; ++t) {
+    queries.push_back("text " + std::to_string(t));
+  }
+  for (const std::string& query : queries) {
+    for (std::size_t k = 0; k <= nlqs.size() + 1; ++k) {
+      ExpectLibraryMatchesOracle(nlq_index, nlq_oracle, embedder, nlqs, query,
+                                 k);
+    }
+  }
+
+  // Real DVQ texts, which repeat on their own, under the same collisions.
+  dataset::BenchmarkOptions options;
+  options.train_size = 300;
+  options.test_size = 20;
+  const dataset::BenchmarkSuite suite = dataset::BuildBenchmarkSuite(options);
+  const models::DvqIndex dvq_index(&suite.train, &embedder,
+                                   RetrievalConfig{});
+  RetrievalIndex dvq_oracle;
+  BuildRowPerExample(suite.train, embedder, &DvqOf, &dvq_oracle);
+  const std::size_t distinct = dvq_index.distinct_size();
+  ASSERT_LT(distinct, suite.train.size());
+  for (const dataset::Example& ex : suite.test_clean) {
+    for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                          std::size_t{3}, std::size_t{10}, std::size_t{50},
+                          distinct, distinct + 1, suite.train.size() + 1}) {
+      ExpectLibraryMatchesOracle(dvq_index, dvq_oracle, embedder, suite.train,
+                                 ex.DvqText(), k);
+    }
+  }
+}
+
+TEST(LibraryDedup, EmptyLibraryAndKZeroReturnNoHits) {
+  const SemanticHashEmbedder embedder;
+  const std::vector<dataset::Example> empty;
+  const models::ExampleIndex no_nlqs(&empty, &embedder, RetrievalConfig{});
+  const models::DvqIndex no_dvqs(&empty, &embedder, RetrievalConfig{});
+  EXPECT_EQ(no_nlqs.size(), 0u);
+  EXPECT_EQ(no_nlqs.distinct_size(), 0u);
+  EXPECT_EQ(no_dvqs.size(), 0u);
+  for (std::size_t k : {0, 1, 10}) {
+    EXPECT_TRUE(no_nlqs.TopK("show a bar chart", k).empty());
+    EXPECT_TRUE(no_dvqs.TopK("Visualize BAR SELECT a , b FROM t", k).empty());
+  }
+  Rng rng(3);
+  const std::vector<dataset::Example> train = RepeatingNlqs(&rng, 20, 4);
+  const models::ExampleIndex index(&train, &embedder, RetrievalConfig{});
+  EXPECT_TRUE(index.TopK(train[0].nlq, 0).empty());
+  EXPECT_EQ(index.TopK(train[0].nlq, 1).size(), 1u);
+}
+
+TEST(LibraryDedup, DefaultSuiteMatchesRowPerExampleIndex) {
+  // Every distinct test NLQ of the four test splits against the NLQ
+  // library, and every distinct gold DVQ against the DVQ library, at the
+  // default suite size with the semantic embedder. A k beyond the
+  // distinct rows ranks the whole library, so every 16th query runs it.
+  const dataset::BenchmarkSuite suite =
+      dataset::BuildBenchmarkSuite(dataset::BenchmarkOptions{});
+  const SemanticHashEmbedder embedder;
+  const models::ExampleIndex nlq_index(&suite.train, &embedder,
+                                       RetrievalConfig{});
+  const models::DvqIndex dvq_index(&suite.train, &embedder,
+                                   RetrievalConfig{});
+  RetrievalIndex nlq_oracle;
+  RetrievalIndex dvq_oracle;
+  BuildRowPerExample(suite.train, embedder, &NlqOf, &nlq_oracle);
+  BuildRowPerExample(suite.train, embedder, &DvqOf, &dvq_oracle);
+  ASSERT_LT(dvq_index.distinct_size(), suite.train.size());
+  std::set<std::string> nlqs;
+  std::set<std::string> dvqs;
+  for (const std::vector<dataset::Example>* split :
+       {&suite.test_clean, &suite.test_nlq, &suite.test_schema,
+        &suite.test_both}) {
+    for (const dataset::Example& ex : *split) {
+      nlqs.insert(ex.nlq);
+      dvqs.insert(ex.DvqText());
+    }
+  }
+  const struct {
+    const models::LibraryIndex* library;
+    const RetrievalIndex* oracle;
+    const std::set<std::string>* queries;
+  } libraries[] = {{&nlq_index, &nlq_oracle, &nlqs},
+                   {&dvq_index, &dvq_oracle, &dvqs}};
+  for (const auto& lib : libraries) {
+    std::size_t q = 0;
+    for (const std::string& query : *lib.queries) {
+      for (std::size_t k : {1, 3, 10}) {
+        ExpectLibraryMatchesOracle(*lib.library, *lib.oracle, embedder,
+                                   suite.train, query, k);
+      }
+      if (q++ % 16 == 0) {
+        ExpectLibraryMatchesOracle(*lib.library, *lib.oracle, embedder,
+                                   suite.train, query,
+                                   lib.library->distinct_size() + 1);
+      }
+      if (HasFailure()) return;  // one diverging query is enough to read
+    }
+    EXPECT_EQ(q, lib.queries->size());
+  }
+}
+
+TEST(LibraryDedup, ConcurrentTopKMatchesSerial) {
+  // Run under TSan by scripts/tier1.sh: eight threads share one NLQ and
+  // one DVQ library, each folding duplicate texts, and must reproduce
+  // the serial answers.
+  dataset::BenchmarkOptions options;
+  options.train_size = 600;
+  options.test_size = 30;
+  const dataset::BenchmarkSuite suite = dataset::BuildBenchmarkSuite(options);
+  const SemanticHashEmbedder embedder;
+  const models::ExampleIndex nlq_index(&suite.train, &embedder,
+                                       RetrievalConfig{});
+  const models::DvqIndex dvq_index(&suite.train, &embedder,
+                                   RetrievalConfig{});
+  ASSERT_LT(dvq_index.distinct_size(), dvq_index.size());
+  struct Query {
+    const models::LibraryIndex* library;
+    std::string text;
+    std::vector<models::LibraryIndex::Hit> expected;
+  };
+  std::vector<Query> queries;
+  for (const dataset::Example& ex : suite.test_nlq) {
+    queries.push_back({&nlq_index, ex.nlq, nlq_index.TopK(ex.nlq, 10)});
+    queries.push_back(
+        {&dvq_index, ex.DvqText(), dvq_index.TopK(ex.DvqText(), 10)});
+  }
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kRounds = 2;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+          const Query& q = queries[(i + t * 5) % queries.size()];
+          const std::vector<models::LibraryIndex::Hit> hits =
+              q.library->TopK(q.text, 10);
+          bool same = hits.size() == q.expected.size();
+          for (std::size_t r = 0; same && r < hits.size(); ++r) {
+            same = hits[r].index == q.expected[r].index &&
+                   hits[r].example == q.expected[r].example &&
+                   std::memcmp(&hits[r].score, &q.expected[r].score,
+                               sizeof(double)) == 0;
+          }
+          if (!same) mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

@@ -607,6 +607,51 @@ TEST_F(ServeFixture, StatsEndpointReportsCachesAndCounters) {
   EXPECT_EQ(server.stats().stats_requests, 1u);
 }
 
+TEST_F(ServeFixture, ServedBatchLeavesEmbedCountsUnchanged) {
+  // The served path keeps no per-request embedding state: Gred's
+  // library fold counts and the stats endpoint's embed_cache block read
+  // the same before and after a concurrent batch of translations.
+  ServerOptions options;
+  options.num_workers = 4;
+  options.queue_capacity = 128;  // the whole batch is admitted
+  options.include_timings = false;
+  Server server(suite_, gred_, options);
+  auto embed_cache_block = [&server] {
+    json::ParseResult reply =
+        json::Parse(server.Handle("{\"id\": 0, \"type\": \"stats\"}"));
+    EXPECT_TRUE(reply.ok());
+    const json::Value* block =
+        reply.ok() ? reply.value().Find("embed_cache") : nullptr;
+    EXPECT_NE(block, nullptr);
+    return block == nullptr ? std::string() : block->Dump();
+  };
+  const embed::CachingEmbedder::Stats before = gred_->embed_cache_stats();
+  const std::string block_before = embed_cache_block();
+  EXPECT_EQ(before.hits + before.misses, 2 * suite_->train.size());
+  EXPECT_GT(before.hits, 0u);
+
+  std::atomic<int> ok{0};
+  int id = 1;
+  for (const auto* split : {&suite_->test_clean, &suite_->test_nlq}) {
+    for (const dataset::Example& ex : *split) {
+      server.Submit(RequestLine(id++, ex), [&ok](const std::string& r) {
+        json::ParseResult parsed = json::Parse(r);
+        if (parsed.ok() && parsed.value().Find("ok")->bool_value()) {
+          ok.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+  }
+  server.Shutdown();
+  EXPECT_EQ(server.stats().rejected_overload, 0u);
+  EXPECT_GT(ok.load(), 0);
+
+  const embed::CachingEmbedder::Stats after = gred_->embed_cache_stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(embed_cache_block(), block_before);
+}
+
 TEST_F(ServeFixture, TimingsAppearOnlyWhenEnabled) {
   ServerOptions timed;
   timed.num_workers = 1;
